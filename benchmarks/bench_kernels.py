@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Time the numba kernels against their pure-numpy twins.
 
-Runs each kernel on sizes representative of the hot paths (Monte Carlo
+The batched kernels (prefix_sum_2d, cumtrapz, diag_gather) are numpy-only
+and show no numba column. Runs each kernel on sizes representative of the hot paths (Monte Carlo
 sheet generation at h = 1/512 and the closed-form solvers) and prints a
 speedup table. The numba implementations are imported directly, so this
 script works regardless of the SHEETPDE_DISABLE_NUMBA selection; run it
@@ -61,10 +62,12 @@ def main() -> None:
     for name, np_fn, fn_args in cases:
         t_np = timeit(np_fn, *fn_args, repeats=args.repeats)
         line = f"{name:<28}{t_np * 1e3:>10.3f}ms"
-        if K.NUMBA_ENABLED:
-            nb_fn = getattr(K, np_fn.__name__.replace("_np", "_nb"))
+        nb_fn = getattr(K, np_fn.__name__.replace("_np", "_nb"), None)
+        if nb_fn is not None:
             t_nb = timeit(nb_fn, *fn_args, repeats=args.repeats)
             line += f"{t_nb * 1e3:>10.3f}ms{t_np / t_nb:>9.2f}x"
+        elif K.NUMBA_ENABLED:
+            line += f"{'-':>12}{'-':>10}"   # batched kernel, numpy only
         print(line)
 
     print(f"\nselected path for the package: "

@@ -18,12 +18,12 @@ from .bumps import TestFunction, bump_eval, interior_bump, standard_bump_battery
 from .rng import stream_for_path
 from .sheet import (DiagonalPath, RectRegion, SheetSample, diagonal_noise,
                     empirical_covariance, rect_measure, restrict_sheet,
-                    sample_sheet, sample_sheets)
+                    sample_sheet, sample_sheet_batch, sample_sheets)
 from .operators import (OperatorD, adjoint_identity_residual, apply_D,
                         apply_adjoint, weak_residual_time_equation,
                         weak_residual_transport)
 from .solver import (ExistenceCriterionError, InitialCurve, Provenance,
-                     SolutionField, flat_curve, ito_integral,
+                     SolutionField, TransportPlan, flat_curve, ito_integral,
                      nelson_siegel_curve, polynomial_curve, solve_b_zero,
                      solve_ito_form, solve_transport, integral_identity_sides,
                      transport_solution)
@@ -31,8 +31,8 @@ from .diagnostics import (ExistenceReport, HolderReport, LineField, QVReport,
                           build_Z, build_Z_characteristic, equal_slab_partition,
                           existence_check, holder_estimate, partition_sup_check,
                           partition_product_check, qv_characteristic_theoretical,
-                          qv_estimate, qv_report, qv_slicewise, qv_summary,
-                          qv_theoretical,
+                          qv_diagonal_theoretical, qv_estimate, qv_report,
+                          qv_slicewise, qv_summary, qv_theoretical,
                           separability_residual, weak_bracket_field)
 from .yield_curve import (CompareReport, EnsembleResult, YieldScenario,
                           compare_models, drift_decomposition_residual,

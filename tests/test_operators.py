@@ -142,17 +142,16 @@ class TestWeakResidualTransport:
         assert med[0] > med[1] > med[2]
 
     def test_corrupted_solution_fails(self, coeffs_transport_t):
-        from sheetpde.cli import _corrupted_solution
         g = sp.make_grid(1.0, 1.0, 0.01)
         op = OperatorD(coeffs_transport_t)
         r0 = sp.flat_curve(0.0)
+        plan = sp.TransportPlan.build(g, coeffs_transport_t, r0)
         ratio = []
         for seed in range(6):
             W = sp.diagonal_noise(sp.sample_sheet(g, 404, path_index=seed))
             good = weak_residual_transport(sp.solve_transport(coeffs_transport_t, r0, W),
                                            W, op, TF)
-            bad = weak_residual_transport(_corrupted_solution(coeffs_transport_t, r0, W),
-                                          W, op, TF)
+            bad = weak_residual_transport(plan.corrupted_solution(W), W, op, TF)
             ratio.append(bad / good)
         assert np.median(ratio) >= 10.0
 

@@ -34,6 +34,24 @@ class TestSampling:
             assert np.array_equal(
                 s.values, sp.sample_sheet(unit_grid_h025, 7, path_index=k).values)
 
+    def test_batch_sampler_matches_per_path_calls(self, unit_grid_h025):
+        g = unit_grid_h025
+        cells = np.full((5, g.n_t, g.n_sheet_x), np.nan)
+        values = np.full((5, g.n_t + 1, g.n_sheet_x + 1), np.nan)
+        assert sp.sample_sheet_batch(g, 7, 3, cells, values) is values
+        for b in range(5):
+            one = sp.sample_sheet(g, 7, path_index=3 + b)
+            assert np.array_equal(values[b], one.values)
+            assert np.array_equal(cells[b], one.cell_increments)
+
+    def test_batch_sampler_rejects_mismatched_buffers(self, unit_grid_h025):
+        g = unit_grid_h025
+        cells = np.empty((2, g.n_t, g.n_sheet_x))
+        with pytest.raises(GridError):
+            sp.sample_sheet_batch(g, 7, 0, cells, np.empty((3, g.n_t + 1, g.n_sheet_x + 1)))
+        with pytest.raises(GridError):
+            sp.sample_sheet_batch(g, 7, 0, cells, np.empty((2, g.n_t + 1, g.n_sheet_x)))
+
     def test_zero_boundaries(self, unit_grid_h025):
         for seed in (0, 1, 12345):
             s = sp.sample_sheet(unit_grid_h025, seed)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import sheetpde as sp
+from sheetpde.grids import GridError
 from sheetpde.sheet import DiagonalPath
 from sheetpde.solver import ExistenceCriterionError
 from sheetpde.yield_curve import negate
@@ -258,6 +259,72 @@ class TestSolveTransport:
             errors.append(err)
         assert errors[0] < 2e-3
         assert errors[1] < errors[0] / 2.5   # at least first-order shrink
+
+
+class TestTransportPlan:
+    @pytest.fixture
+    def setup(self, unit_grid_h01):
+        a = sp.polynomial([[0.1, 0.05], [0.2, 0.0]])   # depends on t and x
+        coeffs = cs(a, negate(a), sp.const(0.3))
+        r0 = sp.nelson_siegel_curve(0.05, -0.02, 0.01, 1.5)
+        return unit_grid_h01, coeffs, r0, sp.TransportPlan.build(unit_grid_h01, coeffs, r0)
+
+    def test_stack_matches_each_sheet_and_solve_transport(self, setup):
+        g, coeffs, r0, plan = setup
+        paths = [noise(g, seed=8, path=k) for k in range(4)]
+        stack = plan.solve(np.stack([W.sheet_values for W in paths]))
+        for W, values in zip(paths, stack):
+            assert np.array_equal(values, plan.solve(W.sheet_values))
+            assert np.array_equal(values, sp.solve_transport(coeffs, r0, W).values)
+
+    def test_keeps_the_closed_form_operation_order(self, setup):
+        # r = a W + gather(cumtrapz(bracket * S)) + r0(t+x), left to right,
+        # written out with plain numpy: the values of every earlier release
+        g, coeffs, r0, plan = setup
+        W = noise(g, seed=12)
+        tt = g.t_values[:, None]
+        xarg = np.maximum(g.sheet_x_values[None, :] - tt, 0.0)
+        targ = np.broadcast_to(tt, xarg.shape)
+        bracket = (coeffs.partial("a", "x", targ, xarg) - coeffs.partial("a", "t", targ, xarg)
+                   + coeffs.eval("c", targ, xarg))
+        P = bracket * W.sheet_values
+        folded = np.zeros_like(P)
+        np.cumsum(0.5 * g.h * (P[1:] + P[:-1]), axis=0, out=folded[1:])
+        diag = np.arange(g.n_t + 1)[:, None] + np.arange(g.n_x + 1)[None, :]
+        rows = np.arange(g.n_t + 1)[:, None]
+        expected = (coeffs.eval("a", tt, g.x_values[None, :]) * W.values
+                    + folded[rows, diag] + r0.eval(g.sheet_x_values)[diag])
+        assert np.array_equal(plan.solve(W.sheet_values), expected)
+
+    def test_fields_are_read_only(self, setup):
+        plan = setup[3]
+        for arr in (plan.a, plan.bracket, plan.r0_diag):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+    def test_checks_run_at_build(self, unit_grid_h01):
+        with pytest.raises(ExistenceCriterionError, match="if and only if"):
+            sp.TransportPlan.build(unit_grid_h01, cs(sp.const(1.0), sp.const(0.0),
+                                                     sp.const(0.0)), sp.flat_curve(0.0))
+        bad_r0 = sp.InitialCurve(lambda x: np.where(x > 1.5, np.inf, 0.0))
+        with pytest.raises(ValueError, match="not finite"):
+            sp.TransportPlan.build(unit_grid_h01, cs(sp.const(1.0), sp.const(-1.0),
+                                                     sp.const(0.0)), bad_r0)
+
+    def test_rejects_foreign_sheets(self, setup, unit_grid_h025):
+        plan = setup[3]
+        with pytest.raises(GridError):
+            plan.solve(noise(unit_grid_h025).sheet_values)
+        with pytest.raises(GridError):
+            plan.solution(noise(unit_grid_h025))
+
+    def test_corrupted_solution_drops_the_integral(self, setup):
+        g, coeffs, r0, plan = setup
+        W = noise(g)
+        bad = plan.corrupted_solution(W)
+        assert bad.provenance.formula == "closed_form_corrupted"
+        assert np.array_equal(bad.values, plan.a * W.values + plan.r0_diag)
+        assert not np.allclose(bad.values, plan.solution(W).values)
 
 
 class TestItoIntegral:

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 import sheetpde as sp
+import sheetpde.sheet as sheet_mod
+import sheetpde.yield_curve as yield_mod
+from sheetpde.solver import ExistenceCriterionError
 from sheetpde.yield_curve import (compare_models, drift_decomposition_residual,
                                   ms_simulate, sheet_increment_covariance,
                                   simulate_yield, transport_baseline,
@@ -66,6 +69,110 @@ class TestSimulateYield:
         lines = p.read_text().strip().split("\n")
         assert lines[0] == "t,x,mean,variance,q05,q95"
         assert len(lines) == 1 + 2 * (unit_grid_h01.n_x + 1)
+
+
+def reference_ensemble(sc, t_slices):
+    """Per-path loop: sample_sheet + solve_transport + path-order sums."""
+    g, n = sc.grid, sc.n_paths
+    coeffs = sc.coefficient_set()
+    total = np.zeros((g.n_t + 1, g.n_x + 1))
+    total_sq = np.zeros_like(total)
+    rows = {t: np.empty((n, g.n_x + 1)) for t in t_slices}
+    paths = []
+    for k in range(n):
+        W = sp.diagonal_noise(sp.sample_sheet(g, sc.seed, path_index=k))
+        v = sp.solve_transport(coeffs, sc.r0, W).values
+        np.add(total, v, out=total)
+        np.add(total_sq, v * v, out=total_sq)
+        for t in t_slices:
+            rows[t][k] = v[g.index_of(t, "t")]
+        paths.append(v)
+    mean = total / n
+    var = np.maximum(total_sq - n * mean * mean, 0.0) / (n - 1)
+    return (mean, var, {t: np.quantile(r, 0.05, axis=0) for t, r in rows.items()},
+            {t: np.quantile(r, 0.95, axis=0) for t, r in rows.items()}, paths)
+
+
+VOLS = {"const": lambda: sp.const(0.1), "t": sp.coord_t,
+        "x": lambda: sp.polynomial([[0.1, 0.05], [0.02, 0.0]])}
+
+
+class TestBatchedEnsembleIsBitIdentical:
+    """simulate_yield samples and solves in batches through one TransportPlan;
+    every statistic equals the per-path reference bit for bit, for any batch
+    size and worker count."""
+
+    N_PATHS = 23   # not a multiple of 7: the last batch is short
+    SLICES = (0.0, 0.5, 1.0)
+
+    @pytest.fixture(scope="class")
+    def references(self):
+        g = sp.make_grid(1.0, 1.0, 0.125)
+        r0 = sp.nelson_siegel_curve(0.05, -0.02, 0.01, 1.5)
+        out = {}
+        for name, vol in VOLS.items():
+            sc = scenario(g, vol(), sp.const(0.3), self.N_PATHS, 41, r0=r0)
+            out[name] = (sc, reference_ensemble(sc, self.SLICES))
+        return out
+
+    @pytest.mark.parametrize("vol", sorted(VOLS))
+    @pytest.mark.parametrize("batch", [1, 7, N_PATHS])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matches_reference(self, references, monkeypatch, vol, batch, workers):
+        sc, (mean, var, q05, q95, paths) = references[vol]
+        g = sc.grid
+        monkeypatch.setattr(yield_mod, "BATCH_BYTES",
+                            batch * 8 * (g.n_t + 1) * (g.n_sheet_x + 1))
+        assert yield_mod._paths_per_batch(g, sc.n_paths) == batch
+        res = simulate_yield(sc, t_slices=self.SLICES, keep_paths=True, workers=workers)
+        assert np.array_equal(res.mean.values, mean)
+        assert np.array_equal(res.variance.values, var)
+        for t in self.SLICES:
+            assert np.array_equal(res.slice_q05[t], q05[t])
+            assert np.array_equal(res.slice_q95[t], q95[t])
+        for k, path in enumerate(res.paths):
+            assert np.array_equal(path.values, paths[k])
+            assert path.provenance.details == f"path={k}"
+
+
+class TestPathInvariantWorkRunsOnce:
+    def test_coefficient_evaluations_independent_of_path_count(self):
+        calls = []
+
+        def counted(fn):
+            def wrapped(t, x):
+                calls.append(1)
+                return fn(t, x)
+            return wrapped
+
+        def counting(c):
+            return sp.CoeffFn(counted(c.fn), d_dt=counted(c.d_dt),
+                              d_dx=counted(c.d_dx), name=c.name)
+
+        g = sp.make_grid(1.0, 1.0, 0.25)
+        per_call = []
+        for n_paths in (10, 1000):
+            calls.clear()
+            simulate_yield(scenario(g, counting(sp.coord_t()), counting(sp.const(0.2)),
+                                    n_paths, 3), t_slices=[0.5])
+            per_call.append(len(calls))
+        assert per_call[0] > 0
+        assert per_call[0] == per_call[1]
+
+    def test_criterion_fails_before_any_stream(self, unit_grid_h01, monkeypatch):
+        class Broken(sp.YieldScenario):
+            def coefficient_set(self):
+                return sp.CoefficientSet(a=self.vol, b=sp.const(0.5), c=self.carry)
+
+        def no_stream(*args, **kwargs):
+            raise AssertionError("a random stream was created")
+
+        monkeypatch.setattr(sheet_mod, "stream_for_path", no_stream)
+        sc = Broken(unit_grid_h01, sp.flat_curve(0.05), sp.const(1.0), sp.const(0.0), 50, 1)
+        with pytest.raises(ExistenceCriterionError, match="if and only if"):
+            simulate_yield(sc)
+        with pytest.raises(ExistenceCriterionError):
+            compare_models(sc, sp.const(0.0), sp.const(1.0), [0.5])
 
 
 class TestDriftDecomposition:
@@ -161,6 +268,22 @@ class TestCompareModels:
         cs_ = np.asarray(rep.corr_spde[0.5])
         theo = np.asarray(rep.corr_noise_theoretical[0.5])
         assert np.max(np.abs(cs_ - theo)) <= 0.06
+
+    def test_spde_side_matches_per_path_loop(self):
+        g = sp.make_grid(1.0, 1.0, 0.1)
+        sc = scenario(g, sp.coord_sum(), sp.const(0.2), 300, 17)
+        rep = compare_models(sc, sp.const(0.0), sp.const(1.0), [0.3, 0.5])
+        js = [g.index_of(m, "x") for m in rep.maturities]
+        coeffs = sc.coefficient_set()
+        inc = {0.3: [], 0.5: []}
+        for k in range(sc.n_paths):
+            W = sp.diagonal_noise(sp.sample_sheet(g, sc.seed, path_index=k))
+            r = sp.solve_transport(coeffs, sc.r0, W).values
+            for t in inc:
+                i = g.index_of(t, "t")
+                inc[t].append(r[i + 1, js] - r[i, js])
+        for t, rows in inc.items():
+            assert np.array_equal(rep.corr_spde[t], np.corrcoef(np.array(rows), rowvar=False))
 
     def test_degenerate_flagged(self):
         g = sp.make_grid(1.0, 1.0, 0.25)
