@@ -19,11 +19,11 @@ from .rng import stream_for_path
 from .sheet import (DiagonalPath, RectRegion, SheetSample, diagonal_noise,
                     empirical_covariance, rect_measure, restrict_sheet,
                     sample_sheet, sample_sheet_batch, sample_sheets)
-from .operators import (OperatorD, adjoint_identity_residual, apply_D,
-                        apply_adjoint, weak_residual_time_equation,
+from .operators import (OperatorD, WeakFormPlan, adjoint_identity_residual,
+                        apply_D, apply_adjoint, weak_residual_time_equation,
                         weak_residual_transport)
-from .solver import (ExistenceCriterionError, InitialCurve, Provenance,
-                     SolutionField, TransportPlan, flat_curve, ito_integral,
+from .solver import (ExistenceCriterionError, InitialCurve, NumericalCriterionError,
+                     Provenance, SolutionField, TransportPlan, flat_curve, ito_integral,
                      nelson_siegel_curve, polynomial_curve, solve_b_zero,
                      solve_ito_form, solve_transport, integral_identity_sides,
                      transport_solution)

@@ -22,7 +22,6 @@ __all__ = [
     "TestFunction",
     "interior_bump",
     "bump_eval",
-    "bump_matrices",
     "standard_bump_battery",
 ]
 
@@ -109,13 +108,6 @@ def bump_eval(tf: TestFunction, t, x, order: DerivOrder = "value") -> np.ndarray
     if order == "dtdx":
         return psi_prime(u) * psi_prime(v) / (tf.rho_t * tf.rho_x)
     raise ValueError(f"unknown derivative selector {order!r}")
-
-
-def bump_matrices(tf: TestFunction, grid: GridSpec) -> dict:
-    """The bump and its partials sampled on the grid mesh (keys as selectors)."""
-    tt = grid.t_values[:, None]
-    xx = grid.x_values[None, :]
-    return {order: bump_eval(tf, tt, xx, order) for order in ("value", "dt", "dx", "dtdx")}
 
 
 def standard_bump_battery(grid: GridSpec) -> list[TestFunction]:

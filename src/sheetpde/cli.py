@@ -34,11 +34,11 @@ from .diagnostics import (build_Z, build_Z_characteristic, existence_check,
                           partition_product_check, qv_estimate, qv_slicewise,
                           qv_summary)
 from .grids import GridError, make_grid
-from .operators import OperatorD, weak_residual_transport, write_residual_records
+from .operators import OperatorD, WeakFormPlan, write_residual_records
 from .sheet import RectRegion, diagonal_noise, restrict_sheet, sample_sheet
-from .solver import (ExistenceCriterionError, InitialCurve, TransportPlan,
-                     flat_curve, nelson_siegel_curve, polynomial_curve,
-                     solve_transport, transport_solution)
+from .solver import (ExistenceCriterionError, InitialCurve, NumericalCriterionError,
+                     TransportPlan, flat_curve, nelson_siegel_curve, polynomial_curve,
+                     require_finite, solve_transport, transport_solution)
 from .yield_curve import (YieldScenario, compare_models, negate, simulate_yield,
                           write_slices_csv)
 
@@ -49,10 +49,6 @@ COMMANDS = ("simulate", "qv", "weakform", "lemmas", "yield", "compare")
 
 class ConfigError(ValueError):
     """Malformed, unknown or invalid configuration (exit code 2)."""
-
-
-class NumericalCriterionError(ValueError):
-    """A numerical criterion (e.g. existence check) failed (exit code 3)."""
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +464,11 @@ def _grid_curve(cfg: RunConfig):
 def _run_simulate(cfg: RunConfig, outputs: _Outputs, workers: int) -> None:
     g, r0 = _grid_curve(cfg)
     coeffs = _coefficient_set(cfg)
-    sheet = sample_sheet(g, cfg.data["seed"], path_index=0)
-    solution = solve_transport(coeffs, r0, diagonal_noise(sheet))
+    # the sheet's cell masses are not needed by the solve; not keeping the
+    # sheet frees them before the solve's temporaries are allocated
+    W = diagonal_noise(sample_sheet(g, cfg.data["seed"], path_index=0))
+    solution = solve_transport(coeffs, r0, W)
+    require_finite("solution", solution.values)
     solution.to_csv(outputs.path("solution.csv"))
     transport_solution(g, r0).to_csv(outputs.path("baseline.csv"))
 
@@ -549,28 +548,30 @@ def _run_weakform(cfg: RunConfig, outputs: _Outputs, workers: int) -> None:
     _, r0 = _grid_curve(cfg)
     fine_grid = make_grid(g_cfg["t_max"], g_cfg["x_max"], h_fine)
     op = OperatorD(coeffs)
+    factors = {h: round(h / h_fine) for h in hs}
+    # the solution map and the weak-form kernels depend on the step size
+    # alone; every seed and both variants reuse them
+    plans = {}
+    for h in hs:
+        g = fine_grid.coarsen(factors[h])
+        plans[h] = (TransportPlan.build(g, coeffs, r0),
+                    WeakFormPlan.build(g, op, standard_bump_battery(g)))
     records = []
     medians = {h: [] for h in hs}
     corrupt_fine = []
-    plans = {}
     for seed_idx in range(sec["n_seeds"]):
         sheet_fine = sample_sheet(fine_grid, cfg.data["seed"], path_index=seed_idx)
         for h in hs:
-            factor = round(h / h_fine)
-            sheet = restrict_sheet(sheet_fine, factor) if factor > 1 else sheet_fine
-            if h not in plans:
-                plans[h] = TransportPlan.build(sheet.grid, coeffs, r0)
+            sheet = restrict_sheet(sheet_fine, factors[h]) if factors[h] > 1 else sheet_fine
+            transport, weak = plans[h]
             W = diagonal_noise(sheet)
-            r = plans[h].solution(W)
-            battery = standard_bump_battery(sheet.grid)
-            res = [weak_residual_transport(r, W, op, tf) for tf in battery]
+            res = weak.residuals(transport.solution(W), W)
             for tf_id, value in enumerate(res):
                 records.append({"h": h, "seed": seed_idx, "test_function_id": tf_id,
                                 "residual": value, "variant": "intact"})
             medians[h].append(float(np.median(res)))
             if h == h_fine:
-                corrupted = plans[h].corrupted_solution(W)
-                res_c = [weak_residual_transport(corrupted, W, op, tf) for tf in battery]
+                res_c = weak.residuals(transport.corrupted_solution(W), W)
                 for tf_id, value in enumerate(res_c):
                     records.append({"h": h, "seed": seed_idx, "test_function_id": tf_id,
                                     "residual": value, "variant": "corrupted"})
@@ -652,6 +653,10 @@ def _run_compare(cfg: RunConfig, outputs: _Outputs, workers: int) -> None:
     report = compare_models(sc, coeff_from_spec(sec["ms_alpha"]),
                             coeff_from_spec(sec["ms_sigma"]),
                             sec["t_slices"], maturities=sec["maturities"])
+    for label, corr in (("sheet-model", report.corr_spde), ("single-driver", report.corr_ms)):
+        for t, m in corr.items():
+            if m is not None:
+                require_finite(f"{label} correlation at t = {t:g}", m)
     _write_json(outputs.path("compare_report.json"), report.to_json_dict())
 
 

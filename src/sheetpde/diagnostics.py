@@ -41,7 +41,7 @@ import numpy as np
 from . import _kernels
 from .coefficients import CoefficientSet
 from .grids import GridError, GridSpec, ScalarField
-from .sheet import RectRegion, SheetSample, sample_sheet
+from .sheet import RectRegion, SheetSample, diagonal_noise, sample_sheet
 
 __all__ = [
     "ExistenceReport",
@@ -88,16 +88,23 @@ class ExistenceReport:
                 "tol": self.tol}
 
 
-def existence_check(coeffs: CoefficientSet, grid: GridSpec,
-                    tol: float = 1e-9) -> ExistenceReport:
-    """A function solution exists iff a = -b; reports sup |a+b| on the lattice."""
+def existence_check(coeffs: CoefficientSet, grid: GridSpec, tol: float = 1e-9,
+                    x_values: np.ndarray | None = None) -> ExistenceReport:
+    """A function solution exists iff a = -b; reports sup |a+b| on the lattice.
+
+    The lattice is ``grid.t_values`` by ``x_values``, by default the
+    solution grid's x values; the solvers pass the sheet's, since they
+    read the coefficients along characteristics up to t_max + x_max.
+    """
+    if x_values is None:
+        x_values = grid.x_values
     tt = grid.t_values[:, None]
-    xx = grid.x_values[None, :]
+    xx = x_values[None, :]
     dev = np.abs(coeffs.eval("a", tt, xx) + coeffs.eval("b", tt, xx))
     i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
     sup = float(dev[i, j])
     return ExistenceReport(sup <= tol, sup,
-                           (float(grid.t_values[i]), float(grid.x_values[j])), tol)
+                           (float(grid.t_values[i]), float(x_values[j])), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +138,6 @@ class LineField:
         return idx
 
 
-def _diag_noise_matrix(sheet: SheetSample) -> np.ndarray:
-    g = sheet.grid
-    return _kernels.diag_gather(sheet.values, g.n_x + 1)
-
-
 def build_Z(coeffs: CoefficientSet, sheet: SheetSample, t: float) -> LineField:
     """Z(t, x_j) = trapezoid int_0^t (a+b)(s, x_j) B(s, s+x_j) ds over x in [0, x_max]."""
     g = sheet.grid
@@ -143,7 +145,7 @@ def build_Z(coeffs: CoefficientSet, sheet: SheetSample, t: float) -> LineField:
     tt = g.t_values[: i1 + 1][:, None]
     xx = g.x_values[None, :]
     A = coeffs.eval("a", tt, xx) + coeffs.eval("b", tt, xx)
-    W = _diag_noise_matrix(sheet)[: i1 + 1]
+    W = diagonal_noise(sheet).values[: i1 + 1]
     z = np.trapezoid(A * W, dx=g.h, axis=0) if i1 > 0 else np.zeros(g.n_x + 1)
     return LineField(g.x_values.copy(), z)
 
@@ -269,7 +271,7 @@ def qv_slicewise(coeffs: CoefficientSet, sheet: SheetSample, t: float,
     tt = g.t_values[: i1 + 1][:, None]
     xx = g.x_values[None, :]
     A = coeffs.eval("a", tt, xx) + coeffs.eval("b", tt, xx)
-    Y = A * _diag_noise_matrix(sheet)[: i1 + 1]
+    Y = A * diagonal_noise(sheet).values[: i1 + 1]
     D = Y[:, j0 + st: j1 + 1: st] - Y[:, j0: j1 - st + 1: st]
     per_slice = np.sum(D * D, axis=1)
     return float(np.trapezoid(per_slice, dx=g.h))

@@ -136,8 +136,21 @@ def lattice_to_csv(path, t_values: np.ndarray, x_values: np.ndarray,
     """Write a lattice field as CSV: header row of x coordinates, first column t.
 
     Numbers carry 17 significant digits so the file round-trips float64 exactly.
+    Rows are formatted whole; a row that repeats the previous one shifted
+    left by one cell, as every field of t + x does, reuses its text and
+    formats only the new last cell.
     """
+    values = np.asarray(values, dtype=np.float64)
+    bits = values.view(np.int64)   # bitwise equality keeps -0.0 apart from 0.0
+    n_cols = values.shape[1]
+    cells_fmt = ",".join(["%.17g"] * n_cols)
+    cells = None
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("t\\x," + ",".join(f"{x:.17g}" for x in x_values) + "\n")
-        for t, row in zip(t_values, values):
-            f.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+        for i, (t, row) in enumerate(zip(t_values, values)):
+            if (cells is not None and n_cols > 1
+                    and np.array_equal(bits[i, :-1], bits[i - 1, 1:])):
+                cells = cells[cells.index(",") + 1:] + ",%.17g" % row[-1]
+            else:
+                cells = cells_fmt % tuple(row.tolist())
+            f.write("%.17g," % t + cells + "\n")

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .bumps import TestFunction, bump_eval, bump_matrices
+from .bumps import TestFunction, bump_eval
 from .calculus import SmoothFunction, trapz_2d
 from .coefficients import CoefficientSet
 from .grids import GridError, GridSpec, ScalarField
@@ -27,6 +27,7 @@ __all__ = [
     "apply_D",
     "apply_adjoint",
     "adjoint_identity_residual",
+    "WeakFormPlan",
     "weak_residual_transport",
     "weak_residual_time_equation",
     "write_residual_records",
@@ -91,26 +92,63 @@ def _check_same_grid(ga: GridSpec, gb: GridSpec) -> None:
         raise GridError("fields live on different grids")
 
 
+@dataclass(frozen=True, eq=False)
+class WeakFormPlan:
+    """The weak residual of dr/dt - dr/dx = D W against a battery of test
+    functions, as fixed kernels paired with the fields:
+
+        | II r k_r - II W k_w |,  k_r = phi_t - phi_x,
+                                 k_w = a phi_t + b phi_x + (a_t + b_x - c) phi.
+
+    The kernels depend only on the grid, the coefficients and the test
+    function, so they are computed once, when the plan is built; the
+    arrays are read-only, with one kernel per test function along the
+    first axis.
+    """
+
+    grid: GridSpec
+    k_r: np.ndarray    # (n_test_functions, n_t+1, n_x+1)
+    k_w: np.ndarray    # (n_test_functions, n_t+1, n_x+1)
+
+    @classmethod
+    def build(cls, grid: GridSpec, op: OperatorD,
+              battery: Sequence[TestFunction]) -> "WeakFormPlan":
+        cs = op.coeffs
+        tt = grid.t_values[:, None]
+        xx = grid.x_values[None, :]
+        a = cs.eval("a", tt, xx)
+        b = cs.eval("b", tt, xx)
+        lower = (cs.partial("a", "t", tt, xx) + cs.partial("b", "x", tt, xx)
+                 - cs.eval("c", tt, xx))
+        shape = (len(battery), grid.n_t + 1, grid.n_x + 1)
+        k_r, k_w = np.empty(shape), np.empty(shape)
+        for k, tf in enumerate(battery):
+            phi_t = bump_eval(tf, tt, xx, "dt")
+            phi_x = bump_eval(tf, tt, xx, "dx")
+            np.subtract(phi_t, phi_x, out=k_r[k])
+            k_w[k] = a * phi_t + b * phi_x + lower * bump_eval(tf, tt, xx, "value")
+        k_r.flags.writeable = False
+        k_w.flags.writeable = False
+        return cls(grid, k_r, k_w)
+
+    def residuals(self, r: FieldLike, W: FieldLike) -> list[float]:
+        """The residual of (r, W) against each test function, in battery order."""
+        _check_same_grid(r.grid, self.grid)
+        _check_same_grid(W.grid, self.grid)
+        h = self.grid.h
+        return [abs(trapz_2d(r.values * k_r, h) - trapz_2d(W.values * k_w, h))
+                for k_r, k_w in zip(self.k_r, self.k_w)]
+
+
 def weak_residual_transport(r: FieldLike, W: FieldLike, op: OperatorD,
                             tf: TestFunction) -> float:
     """Residual of the weak transport equation dr/dt - dr/dx = D W.
 
     | II r (phi_t - phi_x) - II W (d(a phi)/dt + d(b phi)/dx - c phi) |.
+    Builds a ``WeakFormPlan`` for the one test function; build the plan
+    directly to pair many fields with the same test functions.
     """
-    g_r, rv = _grid_and_values(r)
-    g_w, wv = _grid_and_values(W)
-    _check_same_grid(g_r, g_w)
-    cs = op.coeffs
-    g = g_r
-    tt = g.t_values[:, None]
-    xx = g.x_values[None, :]
-    mats = bump_matrices(tf, g)
-    lhs = trapz_2d(rv * (mats["dt"] - mats["dx"]), g.h)
-    weight = (cs.eval("a", tt, xx) * mats["dt"] + cs.eval("b", tt, xx) * mats["dx"]
-              + (cs.partial("a", "t", tt, xx) + cs.partial("b", "x", tt, xx)
-                 - cs.eval("c", tt, xx)) * mats["value"])
-    rhs = trapz_2d(wv * weight, g.h)
-    return abs(lhs - rhs)
+    return WeakFormPlan.build(r.grid, op, [tf]).residuals(r, W)[0]
 
 
 def weak_residual_time_equation(U: FieldLike, W: FieldLike, op: OperatorD,

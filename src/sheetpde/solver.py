@@ -41,11 +41,14 @@ import numpy as np
 
 from . import _kernels
 from .coefficients import CoefficientSet
+from .diagnostics import existence_check
 from .grids import GridError, GridSpec, ScalarField, lattice_to_csv
 from .sheet import DiagonalPath
 
 __all__ = [
     "ExistenceCriterionError",
+    "NumericalCriterionError",
+    "require_finite",
     "InitialCurve",
     "flat_curve",
     "nelson_siegel_curve",
@@ -66,6 +69,19 @@ _B_TOL = 1e-12
 
 class ExistenceCriterionError(ValueError):
     """Raised when coefficients violate the function-solution criterion a = -b."""
+
+
+class NumericalCriterionError(ValueError):
+    """A numerical criterion failed (exit code 3): a config breaks the
+    existence criterion, or a computed result is not finite."""
+
+
+def require_finite(label: str, values) -> None:
+    """NumericalCriterionError unless every value is finite: a computed
+    result that overflowed is a numerical outcome, not a config error."""
+    if not np.all(np.isfinite(values)):
+        raise NumericalCriterionError(
+            f"{label} contains non-finite values (the arithmetic overflowed)")
 
 
 @dataclass(frozen=True)
@@ -266,16 +282,12 @@ def solve_b_zero(coeffs: CoefficientSet, U0: Callable, W: ScalarField) -> Soluti
 
 
 def _require_criterion(coeffs: CoefficientSet, grid: GridSpec) -> None:
-    tt = grid.t_values[:, None]
-    xx = grid.sheet_x_values[None, :]
-    dev = np.abs(coeffs.eval("a", tt, xx) + coeffs.eval("b", tt, xx))
-    sup = float(np.max(dev))
-    if sup > _B_TOL:
-        i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
+    report = existence_check(coeffs, grid, tol=_B_TOL, x_values=grid.sheet_x_values)
+    if not report.exists:
+        t, x = report.location
         raise ExistenceCriterionError(
             "a function solution exists if and only if a(t,x) = -b(t,x); "
-            f"sup |a + b| = {sup:.3e} at (t, x) = ({grid.t_values[i]:g}, "
-            f"{grid.sheet_x_values[j]:g})")
+            f"sup |a + b| = {report.max_deviation:.3e} at (t, x) = ({t:g}, {x:g})")
 
 
 def _characteristic_args(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:

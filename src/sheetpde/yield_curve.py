@@ -23,7 +23,7 @@ from .grids import GridSpec, ScalarField
 from .rng import stream_for_path
 from .sheet import DiagonalPath, sample_sheet_batch
 from .solver import (InitialCurve, Provenance, SolutionField, TransportPlan,
-                     transport_solution)
+                     require_finite, transport_solution)
 
 __all__ = [
     "YieldScenario",
@@ -151,7 +151,8 @@ def simulate_yield(sc: YieldScenario, t_slices: Sequence[float] = (),
     through one ``TransportPlan``; with several workers, each solves
     whole batches. The ensemble mean/variance are accumulated one path at
     a time in path-index order, so the result is bit-identical for any
-    worker count and batch size.
+    worker count and batch size. Raises NumericalCriterionError when the
+    mean or the variance is not finite.
     """
     g = sc.grid
     slice_idx = {float(t): g.index_of(t, "t") for t in t_slices}
@@ -177,6 +178,8 @@ def simulate_yield(sc: YieldScenario, t_slices: Sequence[float] = (),
         var = np.maximum(total_sq - n * mean * mean, 0.0) / (n - 1)
     else:
         var = np.zeros_like(mean)
+    require_finite("ensemble mean", mean)
+    require_finite("ensemble variance", var)
     q05 = {t: np.quantile(rows, 0.05, axis=0) for t, rows in slice_rows.items()}
     q95 = {t: np.quantile(rows, 0.95, axis=0) for t, rows in slice_rows.items()}
     return EnsembleResult(g, n, sc.seed, ScalarField(g, mean), ScalarField(g, var),

@@ -6,6 +6,7 @@ import pytest
 
 from sheetpde.cli import (ConfigError, NumericalCriterionError, main,
                           parse_config, run)
+from sheetpde.yield_curve import negate
 
 QV_CFG = {
     "command": "qv",
@@ -230,6 +231,75 @@ class TestRun:
         records = json.loads((tmp_path / "w" / "residuals.json").read_text())
         assert {"h", "seed", "test_function_id", "residual", "variant"} <= set(records[0])
 
+    def test_weakform_residuals_match_per_test_function_loop(self, tmp_path):
+        import sheetpde as sp
+        from sheetpde.operators import weak_residual_transport, write_residual_records
+
+        wcfg = {
+            "command": "weakform",
+            "grid": {"t_max": 1.0, "x_max": 1.0, "h": 0.025},
+            "coefficients": {"a": {"kind": "x"}, "c": {"kind": "const", "value": 0.3}},
+            "initial_curve": {"kind": "nelson_siegel", "beta0": 0.05, "beta1": -0.02,
+                              "beta2": 0.01, "tau": 1.5},
+            "seed": 8, "out_dir": str(tmp_path / "w"),
+            "weakform": {"h_values": [0.1, 0.05, 0.025], "n_seeds": 3},
+        }
+        run(parse_config(cfg_text(wcfg)))
+        coeffs = sp.CoefficientSet(a=sp.coord_x(), b=negate(sp.coord_x()), c=sp.const(0.3))
+        op = sp.OperatorD(coeffs)
+        r0 = sp.nelson_siegel_curve(0.05, -0.02, 0.01, 1.5)
+        fine = sp.make_grid(1.0, 1.0, 0.025)
+        records = []
+        for seed_idx in range(3):
+            sheet_fine = sp.sample_sheet(fine, 8, path_index=seed_idx)
+            for h in (0.1, 0.05, 0.025):
+                factor = round(h / 0.025)
+                sheet = sp.restrict_sheet(sheet_fine, factor) if factor > 1 else sheet_fine
+                W = sp.diagonal_noise(sheet)
+                battery = sp.standard_bump_battery(sheet.grid)
+                variants = [("intact", sp.solve_transport(coeffs, r0, W))]
+                if h == 0.025:
+                    plan = sp.TransportPlan.build(sheet.grid, coeffs, r0)
+                    variants.append(("corrupted", plan.corrupted_solution(W)))
+                for variant, r in variants:
+                    for tf_id, tf in enumerate(battery):
+                        records.append({"h": h, "seed": seed_idx, "test_function_id": tf_id,
+                                        "residual": weak_residual_transport(r, W, op, tf),
+                                        "variant": variant})
+        write_residual_records(tmp_path / "loop.json", records)
+        assert ((tmp_path / "w" / "residuals.json").read_bytes()
+                == (tmp_path / "loop.json").read_bytes())
+
+    def test_weakform_coefficient_work_independent_of_seed_count(self, tmp_path,
+                                                                 monkeypatch):
+        from sheetpde.coefficients import CoefficientSet
+
+        calls = []
+
+        def counted(method):
+            def wrapped(self, *args, **kwargs):
+                calls.append(1)
+                return method(self, *args, **kwargs)
+            return wrapped
+
+        for name in ("eval", "partial"):
+            monkeypatch.setattr(CoefficientSet, name, counted(getattr(CoefficientSet, name)))
+        per_run = []
+        for n_seeds in (1, 4):
+            wcfg = {
+                "command": "weakform",
+                "grid": {"t_max": 1.0, "x_max": 1.0, "h": 0.05},
+                "coefficients": {"a": {"kind": "t"}, "c": {"kind": "const", "value": 0.3}},
+                "seed": 6, "out_dir": str(tmp_path / f"w{n_seeds}"),
+                "weakform": {"h_values": [0.1, 0.05], "n_seeds": n_seeds},
+            }
+            cfg = parse_config(cfg_text(wcfg))
+            calls.clear()
+            run(cfg)
+            per_run.append(len(calls))
+        assert per_run[0] > 0
+        assert per_run[0] == per_run[1]
+
     def test_yield_worker_pool_is_deterministic(self, tmp_path):
         base = {
             "command": "yield",
@@ -316,6 +386,21 @@ class TestMain:
         assert main(["simulate", "--config", p, "--workers", str(workers)]) == 2
         assert "--workers" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command, extra", [
+        ("yield", {"grid": {"t_max": 1.0, "x_max": 1.0, "h": 0.125}, "n_paths": 10}),
+        ("simulate", {"grid": {"t_max": 4.0, "x_max": 4.0, "h": 0.25}}),
+        ("compare", {"grid": {"t_max": 1.0, "x_max": 1.0, "h": 0.125}, "n_paths": 10}),
+    ])
+    def test_exit_3_non_finite_result(self, tmp_path, capsys, command, extra):
+        out = tmp_path / "overflow"
+        cfg = dict({"command": command, "seed": 1, "out_dir": str(out),
+                    "coefficients": {"a": {"kind": "const", "value": 1e308}}}, **extra)
+        p = self.write_cfg(tmp_path, cfg)
+        assert main([command, "--config", p]) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_exit_4_missing_config(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "absent.json")]) == 4

@@ -32,6 +32,21 @@ class TestExistenceCheck:
         assert rep.exists
 
 
+    def test_solver_checks_the_sheet_lattice(self, unit_grid_h01):
+        # a + b vanishes for x <= x_max = 1 only; the solvers read the
+        # coefficients along characteristics up to t_max + x_max = 2
+        b = sp.CoeffFn(lambda t, x: -np.minimum(x, 1.0) + 0.0 * t)
+        coeffs = cs(sp.coord_x(), b)
+        g = unit_grid_h01
+        assert sp.existence_check(coeffs, g, tol=1e-12).exists
+        rep = sp.existence_check(coeffs, g, tol=1e-12, x_values=g.sheet_x_values)
+        assert not rep.exists
+        assert rep.location == (0.0, 2.0) and rep.max_deviation == pytest.approx(1.0)
+        with pytest.raises(sp.ExistenceCriterionError,
+                           match=r"sup \|a \+ b\| = 1\.000e\+00 at \(t, x\) = \(0, 2\)"):
+            sp.TransportPlan.build(g, coeffs, sp.flat_curve(0.0))
+
+
 class TestBuildZ:
     def test_zero_when_criterion_holds(self, unit_grid_h01):
         sheet = sp.sample_sheet(unit_grid_h01, 2)

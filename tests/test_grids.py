@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import sheetpde as sp
 from sheetpde.calculus import central_diff, integrate_2d, integrate_time, trapz_2d
-from sheetpde.grids import GridError
+from sheetpde.grids import GridError, lattice_to_csv
 
 
 class TestMakeGrid:
@@ -87,6 +87,66 @@ class TestScalarField:
         assert len(lines) == unit_grid_h025.n_t + 2
         parsed = np.array([[float(v) for v in ln.split(",")[1:]] for ln in lines[1:]])
         assert np.array_equal(parsed, f.values)
+
+
+def per_cell_lattice_csv(path, t_values, x_values, values):
+    """The reference writer: every cell through its own f-string."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write("t\\x," + ",".join(f"{x:.17g}" for x in x_values) + "\n")
+        for t, row in zip(t_values, values):
+            f.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308)
+FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from(EDGE_FLOATS))
+
+
+@st.composite
+def lattices(draw):
+    """A field of t + x (value i + j reads line[i + j]), with any number of
+    its cells then overwritten: from wholly shifted rows to arbitrary ones."""
+    n_t = draw(st.integers(1, 6))
+    n_x = draw(st.integers(1, 6))
+    line = draw(st.lists(FLOATS, min_size=n_t + n_x - 1, max_size=n_t + n_x - 1))
+    values = np.array([[line[i + j] for j in range(n_x)] for i in range(n_t)])
+    for _ in range(draw(st.integers(0, n_t * n_x))):
+        values[draw(st.integers(0, n_t - 1)), draw(st.integers(0, n_x - 1))] = draw(FLOATS)
+    t = np.array(draw(st.lists(FLOATS, min_size=n_t, max_size=n_t)))
+    x = np.array(draw(st.lists(FLOATS, min_size=n_x, max_size=n_x)))
+    return t, x, values
+
+
+class TestLatticeCsv:
+    @settings(max_examples=300, deadline=None)
+    @given(lattice=lattices())
+    def test_bytes_match_per_cell_writer(self, tmp_path_factory, lattice):
+        d = tmp_path_factory.mktemp("csv")
+        lattice_to_csv(d / "rows.csv", *lattice)
+        per_cell_lattice_csv(d / "cells.csv", *lattice)
+        assert (d / "rows.csv").read_bytes() == (d / "cells.csv").read_bytes()
+
+    @pytest.mark.parametrize("values", [
+        [[1.0, 0.0], [-0.0, 2.0]],        # shifted but for the sign of a zero
+        [[-0.0, -0.0], [-0.0, 0.0]],
+        [[2.0], [2.0], [-0.0]],            # one column
+        [[1.0, 2.0, 3.0, 5e-324]],         # one row
+    ])
+    def test_signed_zeros_and_edge_shapes(self, tmp_path, values):
+        values = np.array(values)
+        t = np.arange(values.shape[0]) * 0.5
+        x = np.arange(values.shape[1]) * 0.5
+        lattice_to_csv(tmp_path / "rows.csv", t, x, values)
+        per_cell_lattice_csv(tmp_path / "cells.csv", t, x, values)
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+    def test_baseline_field_of_t_plus_x(self, tmp_path):
+        g = sp.make_grid(1.0, 0.5, 1 / 64)
+        r0 = sp.nelson_siegel_curve(0.05, -0.02, 0.01, 1.5)
+        base = sp.transport_solution(g, r0)
+        base.to_csv(tmp_path / "rows.csv")
+        per_cell_lattice_csv(tmp_path / "cells.csv", g.t_values, g.x_values, base.values)
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
 
 class TestIntegrate2d:

@@ -6,9 +6,10 @@ from sheetpde.bumps import bump_eval
 from sheetpde.calculus import SmoothFunction
 from sheetpde.coefficients import polynomial
 from sheetpde.grids import GridError
-from sheetpde.operators import (OperatorD, adjoint_identity_residual, apply_D,
-                                apply_adjoint, weak_residual_time_equation,
+from sheetpde.operators import (OperatorD, WeakFormPlan, adjoint_identity_residual,
+                                apply_D, apply_adjoint, weak_residual_time_equation,
                                 weak_residual_transport)
+from sheetpde.yield_curve import negate
 
 F_LINEAR_T = SmoothFunction(lambda t, x: t + 0 * x,
                             lambda t, x: 1.0 + 0 * t * x,
@@ -173,6 +174,52 @@ class TestWeakResidualTransport:
         outside = (np.abs(tt - TF.t0) >= TF.rho_t) | (np.abs(xx - TF.x0) >= TF.rho_x)
         bumped = sp.ScalarField(g, r.values + 123.0 * outside)
         assert weak_residual_transport(bumped, W, op, TF) == base
+
+
+def weak_residual_formula(r, W, coeffs, tf, g):
+    """|II r (phi_t - phi_x) - II W (a phi_t + b phi_x + (a_t + b_x - c) phi)|,
+    each term sampled on the mesh and summed by the trapezoid rule."""
+    tt = g.t_values[:, None]
+    xx = g.x_values[None, :]
+    phi, phi_t, phi_x = (bump_eval(tf, tt, xx, order) for order in ("value", "dt", "dx"))
+    w_t = np.ones(g.n_t + 1)
+    w_t[0] = w_t[-1] = 0.5
+    w_x = np.ones(g.n_x + 1)
+    w_x[0] = w_x[-1] = 0.5
+    lhs = float(g.h * g.h * (w_t @ (r.values * (phi_t - phi_x)) @ w_x))
+    weight = (coeffs.eval("a", tt, xx) * phi_t + coeffs.eval("b", tt, xx) * phi_x
+              + (coeffs.partial("a", "t", tt, xx) + coeffs.partial("b", "x", tt, xx)
+                 - coeffs.eval("c", tt, xx)) * phi)
+    rhs = float(g.h * g.h * (w_t @ (W.values * weight) @ w_x))
+    return abs(lhs - rhs)
+
+
+class TestWeakFormPlan:
+    @pytest.mark.parametrize("a", [sp.const(0.7), sp.coord_t(), sp.coord_x()],
+                             ids=["const", "t", "x"])
+    def test_residuals_equal_the_formula(self, a):
+        g = sp.make_grid(1.0, 1.0, 0.05)
+        coeffs = cs(a, negate(a), sp.const(0.3))
+        battery = sp.standard_bump_battery(g)
+        plan = WeakFormPlan.build(g, OperatorD(coeffs), battery)
+        r0 = sp.nelson_siegel_curve(0.05, -0.02, 0.01, 1.5)
+        for seed in range(3):
+            W = sp.diagonal_noise(sp.sample_sheet(g, 31, path_index=seed))
+            r = sp.solve_transport(coeffs, r0, W)
+            expected = [weak_residual_formula(r, W, coeffs, tf, g) for tf in battery]
+            assert plan.residuals(r, W) == expected
+            assert [weak_residual_transport(r, W, OperatorD(coeffs), tf)
+                    for tf in battery] == expected
+
+    def test_kernels_read_only_and_grid_checked(self, coeffs_transport_t, unit_grid_h01,
+                                                unit_grid_h025):
+        plan = WeakFormPlan.build(unit_grid_h01, OperatorD(coeffs_transport_t), [TF])
+        assert plan.k_r.shape == plan.k_w.shape == (1, 11, 11)
+        with pytest.raises(ValueError):
+            plan.k_w[0, 5, 5] = 1.0
+        r = sp.ScalarField(unit_grid_h025, np.zeros((5, 5)))
+        with pytest.raises(GridError):
+            plan.residuals(r, r)
 
 
 class TestWeakResidualTimeEquation:
