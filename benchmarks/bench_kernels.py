@@ -1,13 +1,10 @@
 #!/usr/bin/env python3
-"""Time the numba kernels against their pure-numpy twins.
+"""Time the numpy kernels of ``sheetpde._kernels`` on hot-path sizes.
 
-The batched kernels (prefix_sum_2d, cumtrapz, diag_gather) are numpy-only
-and show no numba column. Runs each kernel on sizes representative of the hot paths (Monte Carlo
-sheet generation at h = 1/512 and the closed-form solvers) and prints a
-speedup table. The numba implementations are imported directly, so this
-script works regardless of the SHEETPDE_DISABLE_NUMBA selection; run it
-with the flag set to confirm the numpy fallback is the one the package
-would bind.
+Runs each kernel on sizes representative of the hot paths (Monte Carlo
+sheet generation at h = 1/512, the closed-form solvers and the QV
+reductions) and prints the best time of ``--repeats`` runs. This is a
+micro-benchmark; end-to-end timings come from ``e2ebench/run.py``.
 
 Usage: python benchmarks/bench_kernels.py [--repeats N]
 """
@@ -21,7 +18,7 @@ from sheetpde import _kernels as K
 
 
 def timeit(fn, *args, repeats=20):
-    fn(*args)  # warm-up (and jit compile on the numba path)
+    fn(*args)  # warm-up
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -42,37 +39,21 @@ def main() -> None:
     z = np.cumsum(rng.standard_normal(513))
 
     cases = [
-        ("prefix_sum_2d (512x1024)", K.prefix_sum_2d_np, (cells,)),
-        ("cumtrapz (513x1025)", K.cumtrapz_np, (vals, 1 / 512)),
-        ("cumleft (513x1025)", K.cumleft_np, (vals, 1 / 512)),
-        ("ito_cumsum (513x1025)", K.ito_cumsum_np, (vals, path)),
-        ("diag_gather (513->513)", K.diag_gather_np, (vals, 513)),
-        ("qv sum (n=256)", K.strided_sq_increment_sum_np, (z, 0, 512, 2)),
-        ("max increment (n=256)", K.strided_max_abs_increment_np, (z, 0, 512, 2)),
+        ("prefix_sum_2d (512x1024)", K.prefix_sum_2d, (cells,)),
+        ("cumtrapz (513x1025)", K.cumtrapz, (vals, 1 / 512)),
+        ("ito_cumsum (513x1025)", K.ito_cumsum, (vals, path)),
+        ("diag_gather (513->513)", K.diag_gather, (vals, 513)),
+        ("qv sum (n=256)", K.strided_sq_increment_sum, (z, 0, 512, 2)),
+        ("qv sum per row (513x1025)", K.strided_sq_increment_sum, (vals, 0, 512, 2)),
+        ("max increment (n=256)", K.strided_max_abs_increment, (z, 0, 512, 2)),
     ]
 
-    if not K.NUMBA_ENABLED:
-        print("numba is disabled or unavailable; timing the numpy path only\n")
-
     header = f"{'kernel':<28}{'numpy':>12}"
-    if K.NUMBA_ENABLED:
-        header += f"{'numba':>12}{'speedup':>10}"
     print(header)
     print("-" * len(header))
-    for name, np_fn, fn_args in cases:
-        t_np = timeit(np_fn, *fn_args, repeats=args.repeats)
-        line = f"{name:<28}{t_np * 1e3:>10.3f}ms"
-        nb_fn = getattr(K, np_fn.__name__.replace("_np", "_nb"), None)
-        if nb_fn is not None:
-            t_nb = timeit(nb_fn, *fn_args, repeats=args.repeats)
-            line += f"{t_nb * 1e3:>10.3f}ms{t_np / t_nb:>9.2f}x"
-        elif K.NUMBA_ENABLED:
-            line += f"{'-':>12}{'-':>10}"   # batched kernel, numpy only
-        print(line)
-
-    print(f"\nselected path for the package: "
-          f"{'numba' if K.NUMBA_ENABLED else 'numpy'} "
-          f"(set SHEETPDE_DISABLE_NUMBA=1 to force numpy)")
+    for name, fn, fn_args in cases:
+        t = timeit(fn, *fn_args, repeats=args.repeats)
+        print(f"{name:<28}{t * 1e3:>10.3f}ms")
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ import argparse
 import datetime
 import difflib
 import json
+import math
 import os
 import sys
 import time
@@ -26,13 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _kernels
+from . import __version__
 from .coefficients import CoefficientSet, const, coord_sum, coord_t, coord_x, polynomial
 from .bumps import standard_bump_battery
-from .diagnostics import (build_Z, build_Z_characteristic, existence_check,
-                          holder_estimate, partition_sup_check,
-                          partition_product_check, qv_estimate, qv_slicewise,
-                          qv_summary)
+from .diagnostics import (QV_ESTIMATORS, existence_check, partition_sup_check,
+                          partition_product_check, qv_samples, qv_summary)
 from .grids import GridError, make_grid
 from .operators import OperatorD, WeakFormPlan, write_residual_records
 from .sheet import RectRegion, diagonal_noise, restrict_sheet, sample_sheet
@@ -169,6 +168,10 @@ class RunConfig:
         return json.dumps(self.data, indent=2, sort_keys=True) + "\n"
 
 
+def _reject_non_finite(literal: str):
+    raise ConfigError(f"non-finite number {literal} in config; every number must be finite")
+
+
 def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     """Parse and validate a JSON config document into a RunConfig.
 
@@ -178,7 +181,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     violate the existence criterion a = -b.
     """
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=_reject_non_finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: "
                           f"{exc.msg}") from None
@@ -201,8 +204,10 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     _need("grid" in raw and isinstance(raw["grid"], dict), "config needs a 'grid' section")
     _reject_unknown("grid", raw["grid"])
     for key in ("t_max", "x_max", "h"):
-        _need(isinstance(raw["grid"].get(key), (int, float)),
-              f"grid.{key} must be a number")
+        val = raw["grid"].get(key)
+        # a --h override is not JSON, so it can still be nan or inf
+        _need(isinstance(val, (int, float)) and math.isfinite(val),
+              f"grid.{key} must be a finite number")
     grid_cfg = {k: float(raw["grid"][k]) for k in ("t_max", "x_max", "h")}
     try:
         make_grid(**grid_cfg)
@@ -442,7 +447,6 @@ def run(cfg: RunConfig, workers: int = 1) -> list[str]:
             "seed": cfg.data["seed"],
             "package_version": __version__,
             "numpy_version": np.__version__,
-            "numba_kernels": _kernels.NUMBA_ENABLED,
             "outputs": sorted(p.name for p in outputs.created),
             "wall_time_s": time.time() - started,
             "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -473,43 +477,21 @@ def _run_simulate(cfg: RunConfig, outputs: _Outputs, workers: int) -> None:
     transport_solution(g, r0).to_csv(outputs.path("baseline.csv"))
 
 
-_ESTIMATORS = ("diagonal", "characteristic", "slicewise")
-
-
 def _run_qv(cfg: RunConfig, outputs: _Outputs, workers: int) -> None:
     g, _ = _grid_curve(cfg)
     coeffs = _coefficient_set(cfg)
     sec = cfg.data["qv"]
     t, x_lo, x_hi = float(sec["t"]), float(sec["x_lo"]), float(sec["x_hi"])
     n_values = sec["n_values"]
-    seed, n_seeds = cfg.data["seed"], sec["n_seeds"]
-
-    per = {(est, n): [] for est in _ESTIMATORS for n in n_values}
-    holder_levels = sorted(n_values) if len(n_values) >= 3 else None
-    holders = {"diagonal": [], "characteristic": []}
-    for k in range(n_seeds):
-        sheet = sample_sheet(g, seed, path_index=k)
-        zd = build_Z(coeffs, sheet, t)
-        zc = build_Z_characteristic(coeffs, sheet, t)
-        for n in n_values:
-            per[("diagonal", n)].append(qv_estimate(zd, x_lo, x_hi, n))
-            per[("characteristic", n)].append(
-                qv_estimate(zc, t + x_lo, t + x_hi, n))
-            per[("slicewise", n)].append(
-                qv_slicewise(coeffs, sheet, t, x_lo, x_hi, n))
-        if holder_levels:
-            holders["diagonal"].append(
-                holder_estimate(zd, x_lo, x_hi, holder_levels).estimated_exponent)
-            holders["characteristic"].append(
-                holder_estimate(zc, t + x_lo, t + x_hi,
-                                holder_levels).estimated_exponent)
+    seed = cfg.data["seed"]
+    samples = qv_samples(coeffs, g, t, x_lo, x_hi, n_values, seed, sec["n_seeds"])
 
     n_max = max(n_values)
     tol = cfg.data["tolerances"]["qv_relative"]
     sigmas = cfg.data["tolerances"]["mc_sigmas"]
-    reports = {est: qv_summary(coeffs, t, x_lo, x_hi, n_max, per[(est, n_max)],
+    reports = {est: qv_summary(coeffs, t, x_lo, x_hi, n_max, samples.values[est, n_max],
                                seed, est)
-               for est in _ESTIMATORS}
+               for est in QV_ESTIMATORS}
 
     def within(rep) -> bool:
         # the diagonal statistic does not concentrate, so its seed mean is
@@ -522,20 +504,21 @@ def _run_qv(cfg: RunConfig, outputs: _Outputs, workers: int) -> None:
         return float(v) if np.isfinite(v) else None
 
     report = {
-        "per_estimator": {est: reports[est].to_json_dict() for est in _ESTIMATORS},
+        "per_estimator": {est: reports[est].to_json_dict() for est in QV_ESTIMATORS},
         "qv_relative_tolerance": tol,
-        "within_tolerance": {est: bool(within(reports[est])) for est in _ESTIMATORS},
+        "within_tolerance": {est: bool(within(reports[est])) for est in QV_ESTIMATORS},
         "holder_median_exponent": {
-            est: finite_or_none(np.median(vals)) if vals else None
-            for est, vals in holders.items()},
+            est: finite_or_none(np.median(samples.holder[est]))
+            if samples.holder else None
+            for est in ("diagonal", "characteristic")},
     }
     _write_json(outputs.path("qv_report.json"), report)
     with open(outputs.path("qv_convergence.csv"), "w", encoding="utf-8",
               newline="\n") as f:
         f.write("estimator,n,seed,qv\n")
-        for est in _ESTIMATORS:
+        for est in QV_ESTIMATORS:
             for n in n_values:
-                for k, v in enumerate(per[(est, n)]):
+                for k, v in enumerate(samples.values[est, n]):
                     f.write(f"{est},{n},{k},{v:.17g}\n")
 
 
@@ -576,6 +559,7 @@ def _run_weakform(cfg: RunConfig, outputs: _Outputs, workers: int) -> None:
                     records.append({"h": h, "seed": seed_idx, "test_function_id": tf_id,
                                     "residual": value, "variant": "corrupted"})
                 corrupt_fine.append(float(np.median(res_c)))
+    require_finite("weak-form residuals", [r["residual"] for r in records])
     med_by_h = {h: float(np.median(medians[h])) for h in hs}
     med_corrupt = float(np.median(corrupt_fine))
     report = {

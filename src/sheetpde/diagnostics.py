@@ -28,6 +28,15 @@ because they measure genuinely different things:
 * ``qv_slicewise``: the time integral of per-time-slice quadratic
   variations of Y(s, .) = A(s, .) B(s, s+.), whose limit is exactly
   ``qv_theoretical`` = int_0^t int A(s,z)^2 s dz ds.
+
+``qv_samples`` is the one pass over sheets that computes all three. It
+evaluates A = a + b once on the diagonal lattice and once along the
+characteristics, gathers each sheet onto the diagonal once, and derives
+the diagonal field, the characteristic field, every slicewise sum and
+the Holder inputs from those arrays. ``qv_report`` and the ``qv``
+command reduce its per-seed values with ``qv_summary``. ``build_Z``,
+``build_Z_characteristic`` and ``qv_slicewise`` are the same formulas
+applied to one sheet.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ import numpy as np
 from . import _kernels
 from .coefficients import CoefficientSet
 from .grids import GridError, GridSpec, ScalarField
-from .sheet import RectRegion, SheetSample, diagonal_noise, sample_sheet
+from .sheet import RectRegion, SheetSample, sample_sheet
 
 __all__ = [
     "ExistenceReport",
@@ -54,6 +63,9 @@ __all__ = [
     "qv_diagonal_theoretical",
     "qv_characteristic_theoretical",
     "qv_slicewise",
+    "QV_ESTIMATORS",
+    "QVSamples",
+    "qv_samples",
     "QVReport",
     "qv_summary",
     "qv_report",
@@ -138,16 +150,58 @@ class LineField:
         return idx
 
 
+def _diagonal_A(coeffs: CoefficientSet, g: GridSpec, i1: int) -> np.ndarray:
+    """A = a + b on the diagonal lattice: s = t_0..t_i1 by x in [0, x_max]."""
+    tt = g.t_values[: i1 + 1][:, None]
+    xx = g.x_values[None, :]
+    return coeffs.eval("a", tt, xx) + coeffs.eval("b", tt, xx)
+
+
+def _characteristic_A(coeffs: CoefficientSet, g: GridSpec, i1: int) -> np.ndarray:
+    """A = a + b along the characteristics: A(s, xi - s) for s = t_0..t_i1
+    and xi = t_i1 .. t_max + x_max (x-argument clamped at 0)."""
+    xi = g.sheet_x_values[i1:]
+    tt = g.t_values[: i1 + 1][:, None]
+    xarg = np.maximum(xi[None, :] - tt, 0.0)
+    tt = np.broadcast_to(tt, xarg.shape)
+    return coeffs.eval("a", tt, xarg) + coeffs.eval("b", tt, xarg)
+
+
+def _diagonal_product(A: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Y(s, x) = A(s, x) B(s, s + x) on the rows of A, from sheet values S."""
+    m, n = A.shape
+    return A * _kernels.diag_gather(S[:m], n)
+
+
+def _characteristic_product(A: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """A(s, xi - s) B(s, xi) on the rows and columns of A."""
+    i1 = A.shape[0] - 1
+    return A * S[: i1 + 1, i1:]
+
+
+def _time_integral(F: np.ndarray, h: float) -> np.ndarray:
+    """Trapezoid over the rows s = t_0..t_i1 (zero when i1 = 0)."""
+    return np.trapezoid(F, dx=h, axis=0)
+
+
+def _stride(span: int, n: int) -> int:
+    if n < 1 or span % n:
+        raise ValueError(f"n={n} does not divide the lattice span {span}")
+    return span // n
+
+
+def _slicewise_qv(Y: np.ndarray, j0: int, j1: int, n: int, h: float) -> float:
+    """Time integral of the n-partition quadratic variations of the rows of Y
+    over the columns [j0, j1]."""
+    per_slice = _kernels.strided_sq_increment_sum(Y, j0, j1, _stride(j1 - j0, n))
+    return float(_time_integral(per_slice, h))
+
+
 def build_Z(coeffs: CoefficientSet, sheet: SheetSample, t: float) -> LineField:
     """Z(t, x_j) = trapezoid int_0^t (a+b)(s, x_j) B(s, s+x_j) ds over x in [0, x_max]."""
     g = sheet.grid
-    i1 = g.index_of(t, "t")
-    tt = g.t_values[: i1 + 1][:, None]
-    xx = g.x_values[None, :]
-    A = coeffs.eval("a", tt, xx) + coeffs.eval("b", tt, xx)
-    W = diagonal_noise(sheet).values[: i1 + 1]
-    z = np.trapezoid(A * W, dx=g.h, axis=0) if i1 > 0 else np.zeros(g.n_x + 1)
-    return LineField(g.x_values.copy(), z)
+    Y = _diagonal_product(_diagonal_A(coeffs, g, g.index_of(t, "t")), sheet.values)
+    return LineField(g.x_values.copy(), _time_integral(Y, g.h))
 
 
 def build_Z_characteristic(coeffs: CoefficientSet, sheet: SheetSample,
@@ -160,25 +214,15 @@ def build_Z_characteristic(coeffs: CoefficientSet, sheet: SheetSample,
     """
     g = sheet.grid
     i1 = g.index_of(t, "t")
-    xi = g.sheet_x_values[i1:]
-    tt = g.t_values[: i1 + 1][:, None]
-    xarg = np.maximum(xi[None, :] - tt, 0.0)
-    A = (coeffs.eval("a", np.broadcast_to(tt, xarg.shape), xarg)
-         + coeffs.eval("b", np.broadcast_to(tt, xarg.shape), xarg))
-    S = sheet.values[: i1 + 1, i1:]
-    z = np.trapezoid(A * S, dx=g.h, axis=0) if i1 > 0 else np.zeros(xi.size)
-    return LineField(xi.copy(), z)
+    F = _characteristic_product(_characteristic_A(coeffs, g, i1), sheet.values)
+    return LineField(g.sheet_x_values[i1:].copy(), _time_integral(F, g.h))
 
 
 def qv_estimate(Z: LineField, x_lo: float, x_hi: float, n: int) -> float:
     """Sum of n squared increments of Z over [x_lo, x_hi] at equal spacing."""
     i0 = Z.index_of(x_lo)
     i1 = Z.index_of(x_hi)
-    span = i1 - i0
-    if n < 1 or span % n:
-        raise ValueError(f"n={n} does not divide the lattice span {span}")
-    return _kernels.strided_sq_increment_sum(
-        np.ascontiguousarray(Z.values), i0, i1, span // n)
+    return float(_kernels.strided_sq_increment_sum(Z.values, i0, i1, _stride(i1 - i0, n)))
 
 
 def _simpson_weights(n_points: int) -> np.ndarray:
@@ -223,7 +267,7 @@ def qv_diagonal_theoretical(coeffs: CoefficientSet, t: float, x_lo: float,
     A = coeffs.eval("a", S, X) + coeffs.eval("b", S, X)
     A_x = coeffs.partial("a", "x", S, X) + coeffs.partial("b", "x", S, X)
     ds = t / n_quad
-    inner = _kernels.cumtrapz_np(A_x * ss * (ss + zz) + A * ss, ds)
+    inner = _kernels.cumtrapz(A_x * ss * (ss + zz) + A * ss, ds)
     density = 2.0 * np.trapezoid(A_x * inner, dx=ds, axis=0)
     w = _simpson_weights(n_quad + 1)
     correction = float((x_hi - x_lo) / n_quad * (w @ density))
@@ -247,7 +291,7 @@ def qv_characteristic_theoretical(coeffs: CoefficientSet, t: float, xi_lo: float
     G = (coeffs.eval("a", np.broadcast_to(uu, xarg.shape), xarg)
          + coeffs.eval("b", np.broadcast_to(uu, xarg.shape), xarg))
     du = t / n_quad
-    inner = _kernels.cumtrapz_np(uu * G, du)      # int_0^v u g(u) du
+    inner = _kernels.cumtrapz(uu * G, du)      # int_0^v u g(u) du
     K = 2.0 * np.trapezoid(G * inner, dx=du, axis=0)
     return float(np.trapezoid(K, dx=(xi_hi - xi_lo) / n_quad))
 
@@ -261,20 +305,11 @@ def qv_slicewise(coeffs: CoefficientSet, sheet: SheetSample, t: float,
     integral.
     """
     g = sheet.grid
-    i1 = g.index_of(t, "t")
-    j0 = g.index_of(x_lo, "x")
-    j1 = g.index_of(x_hi, "x")
-    span = j1 - j0
-    if n < 1 or span % n:
-        raise ValueError(f"n={n} does not divide the lattice span {span}")
-    st = span // n
-    tt = g.t_values[: i1 + 1][:, None]
-    xx = g.x_values[None, :]
-    A = coeffs.eval("a", tt, xx) + coeffs.eval("b", tt, xx)
-    Y = A * diagonal_noise(sheet).values[: i1 + 1]
-    D = Y[:, j0 + st: j1 + 1: st] - Y[:, j0: j1 - st + 1: st]
-    per_slice = np.sum(D * D, axis=1)
-    return float(np.trapezoid(per_slice, dx=g.h))
+    Y = _diagonal_product(_diagonal_A(coeffs, g, g.index_of(t, "t")), sheet.values)
+    return _slicewise_qv(Y, g.index_of(x_lo, "x"), g.index_of(x_hi, "x"), n, g.h)
+
+
+QV_ESTIMATORS = ("diagonal", "characteristic", "slicewise")
 
 
 @dataclass(frozen=True)
@@ -342,32 +377,79 @@ def qv_summary(coeffs: CoefficientSet, t: float, x_lo: float, x_hi: float, n: in
     return QVReport(t, x_lo, x_hi, n, emp, target, rel, seed, vals.size, estimator, se)
 
 
+@dataclass(frozen=True)
+class QVSamples:
+    """Per-seed statistics of one ``qv_samples`` pass.
+
+    ``values[(estimator, n)]`` holds one value per seed for each estimator
+    of ``QV_ESTIMATORS`` and each partition count n. ``holder[estimator]``
+    holds per-seed Holder exponents of the diagonal and characteristic
+    fields over the sorted partition counts; it is empty when fewer than
+    3 counts were given.
+    """
+
+    values: dict[tuple[str, int], np.ndarray]
+    holder: dict[str, np.ndarray]
+
+
+def qv_samples(coeffs: CoefficientSet, grid: GridSpec, t: float, x_lo: float,
+               x_hi: float, n_values: Sequence[int], seed: int,
+               n_seeds: int) -> QVSamples:
+    """The per-sheet QV pass: every estimator at every n from one sheet loop.
+
+    A = a + b is evaluated once, on the diagonal lattice and along the
+    characteristics. Each sheet k (path k of ``seed``) is gathered onto
+    the diagonal once; the product Y = A W gives the diagonal field and
+    every slicewise sum, and A times the sheet columns gives the
+    characteristic field. Partition counts are checked before any sheet
+    is drawn.
+    """
+    i1 = grid.index_of(t, "t")
+    j0, j1 = grid.index_of(x_lo, "x"), grid.index_of(x_hi, "x")
+    for n in n_values:
+        _stride(j1 - j0, n)
+    A_diag = _diagonal_A(coeffs, grid, i1)
+    A_char = _characteristic_A(coeffs, grid, i1)
+    x, xi = grid.x_values, grid.sheet_x_values[i1:]
+    levels = sorted(n_values) if len(n_values) >= 3 else None
+    values = {(est, n): np.empty(n_seeds) for est in QV_ESTIMATORS for n in n_values}
+    holder = ({est: np.empty(n_seeds) for est in ("diagonal", "characteristic")}
+              if levels else {})
+    for k in range(n_seeds):
+        S = sample_sheet(grid, seed, path_index=k).values
+        Y = _diagonal_product(A_diag, S)
+        fields = {
+            "diagonal": (LineField(x, _time_integral(Y, grid.h)), x_lo, x_hi),
+            "characteristic": (LineField(xi, _time_integral(
+                _characteristic_product(A_char, S), grid.h)), t + x_lo, t + x_hi),
+        }
+        for n in n_values:
+            for est, (Z, lo, hi) in fields.items():
+                values[est, n][k] = qv_estimate(Z, lo, hi, n)
+            values["slicewise", n][k] = _slicewise_qv(Y, j0, j1, n, grid.h)
+        for est in holder:
+            Z, lo, hi = fields[est]
+            holder[est][k] = holder_estimate(Z, lo, hi, levels).estimated_exponent
+    return QVSamples(values, holder)
+
+
 def qv_report(coeffs: CoefficientSet, grid: GridSpec, t: float, x_lo: float,
               x_hi: float, n: int, seed: int, n_seeds: int,
               estimator: Literal["diagonal", "characteristic", "slicewise"] = "diagonal",
               ) -> QVReport:
     """Quadratic variation over an ensemble of seeds, against its own law.
 
-    Each seed's statistic is computed by the chosen estimator and the
-    ensemble is reduced by ``qv_summary``: the diagonal estimator
-    reports its seed mean and standard error against
-    ((x_hi-x_lo)/n) * ``qv_diagonal_theoretical``; the slicewise and
-    characteristic estimators report their seed medians against
-    ``qv_theoretical`` and ``qv_characteristic_theoretical``.
+    The per-seed statistics come from ``qv_samples`` and are reduced by
+    ``qv_summary``: the diagonal estimator reports its seed mean and
+    standard error against ((x_hi-x_lo)/n) * ``qv_diagonal_theoretical``;
+    the slicewise and characteristic estimators report their seed medians
+    against ``qv_theoretical`` and ``qv_characteristic_theoretical``.
     """
-    vals = []
-    for k in range(n_seeds):
-        sheet = sample_sheet(grid, seed, path_index=k)
-        if estimator == "diagonal":
-            vals.append(qv_estimate(build_Z(coeffs, sheet, t), x_lo, x_hi, n))
-        elif estimator == "characteristic":
-            vals.append(qv_estimate(build_Z_characteristic(coeffs, sheet, t),
-                                    t + x_lo, t + x_hi, n))
-        elif estimator == "slicewise":
-            vals.append(qv_slicewise(coeffs, sheet, t, x_lo, x_hi, n))
-        else:
-            raise ValueError(f"unknown estimator {estimator!r}")
-    return qv_summary(coeffs, t, x_lo, x_hi, n, vals, seed, estimator)
+    if estimator not in QV_ESTIMATORS:
+        raise ValueError(f"unknown estimator {estimator!r}")
+    samples = qv_samples(coeffs, grid, t, x_lo, x_hi, [n], seed, n_seeds)
+    return qv_summary(coeffs, t, x_lo, x_hi, n, samples.values[estimator, n], seed,
+                      estimator)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +488,7 @@ def holder_estimate(Z: LineField, x_lo: float, x_hi: float,
     for n in levels:
         if n < 1 or span % n:
             raise ValueError(f"level n={n} does not divide the lattice span {span}")
-        m = _kernels.strided_max_abs_increment(
-            np.ascontiguousarray(Z.values), i0, i1, span // n)
+        m = _kernels.strided_max_abs_increment(Z.values, i0, i1, span // n)
         if m == 0.0:
             return HolderReport(math.inf, levels, math.nan, degenerate=True)
         deltas.append((x_hi - x_lo) / n)
@@ -576,27 +657,22 @@ def partition_product_check(sheet: SheetSample, R: Callable, S: Callable,
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
+    def midpoints(cells) -> tuple[np.ndarray, np.ndarray]:
+        return (np.array([(c.t_lo + c.t_hi) / 2 for c in cells]),
+                np.array([(c.x_lo + c.x_hi) / 2 for c in cells]))
+
     per_n = {}
     for n in n_values:
         pf = equal_slab_partition(F, n, grid)
         pg = equal_slab_partition(G, n, grid)
         if mode == "diagonal":
-            mids = [( (c.t_lo + c.t_hi) / 2, (c.x_lo + c.x_hi) / 2 )
-                    for c in (_intersection(fk, gk) for fk, gk in zip(pf.cells, pg.cells))]
+            # R_k and S_k both sit at the midpoint of F_k cap G_k
+            mid_f = mid_g = midpoints([_intersection(fk, gk)
+                                       for fk, gk in zip(pf.cells, pg.cells)])
         else:
-            mids = None
-        rk_sk = []
-        if mode == "diagonal":
-            tm = np.array([m[0] for m in mids]); xm = np.array([m[1] for m in mids])
-            rk_sk = np.asarray(R(tm, xm), dtype=np.float64) * np.asarray(
-                S(tm, xm), dtype=np.float64)
-        else:
-            tf = np.array([(c.t_lo + c.t_hi) / 2 for c in pf.cells])
-            xf = np.array([(c.x_lo + c.x_hi) / 2 for c in pf.cells])
-            tg = np.array([(c.t_lo + c.t_hi) / 2 for c in pg.cells])
-            xg = np.array([(c.x_lo + c.x_hi) / 2 for c in pg.cells])
-            rk_sk = (np.asarray(R(tf, xf), dtype=np.float64)
-                     * np.asarray(S(tg, xg), dtype=np.float64))
+            mid_f, mid_g = midpoints(pf.cells), midpoints(pg.cells)
+        rk_sk = (np.asarray(R(*mid_f), dtype=np.float64)
+                 * np.asarray(S(*mid_g), dtype=np.float64))
         per_n[n] = (_corner_indices(grid, pf.cells), _corner_indices(grid, pg.cells),
                     np.broadcast_to(rk_sk, (n,)))
 

@@ -4,6 +4,8 @@ import time
 
 import pytest
 
+import sheetpde as sp
+from sheetpde import _kernels
 from sheetpde.cli import (ConfigError, NumericalCriterionError, main,
                           parse_config, run)
 from sheetpde.yield_curve import negate
@@ -57,6 +59,18 @@ class TestParseConfig:
     def test_malformed_json_reports_line(self):
         with pytest.raises(ConfigError, match="line"):
             parse_config("{\n  \"command\": qv\n}")
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_number_rejected(self, literal):
+        text = cfg_text(dict(SIM_CFG, coefficients={"a": {"kind": "const", "value": 0.0}}))
+        text = text.replace('"value": 0.0', f'"value": {literal}')
+        with pytest.raises(ConfigError, match="non-finite"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("h", [float("nan"), float("inf")])
+    def test_non_finite_step_override_rejected(self, h):
+        with pytest.raises(ConfigError, match="grid.h must be a finite number"):
+            parse_config(cfg_text(QV_CFG), overrides={"h": h})
 
     def test_grid_divisibility_checked(self):
         bad = dict(QV_CFG, grid={"t_max": 1.0, "x_max": 1.0, "h": 0.3})
@@ -145,6 +159,39 @@ class TestParseConfig:
                                            "beta1": 0.0, "beta2": 0.0, "tau": -1.0})
         with pytest.raises(ConfigError, match="tau"):
             parse_config(cfg_text(bad))
+
+
+class TestQvPassRunsOnce:
+    """The qv command evaluates A = a + b once per run and gathers each
+    sheet onto the diagonal once, whatever the seed count."""
+
+    def test_work_per_run_and_per_sheet(self, tmp_path, monkeypatch):
+        counts = {"coefficients": 0, "diag_gather": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for meth in ("eval", "partial"):
+            monkeypatch.setattr(sp.CoefficientSet, meth,
+                                counting("coefficients", getattr(sp.CoefficientSet, meth)))
+        monkeypatch.setattr(_kernels, "diag_gather",
+                            counting("diag_gather", _kernels.diag_gather))
+        per_run = []
+        for n_seeds in (2, 7):
+            cfg = {"command": "qv", "grid": {"t_max": 1.0, "x_max": 1.0, "h": 1 / 32},
+                   "coefficients": {"a": {"kind": "x"}}, "seed": 4,
+                   "out_dir": str(tmp_path / f"s{n_seeds}"),
+                   "qv": {"t": 1.0, "x_lo": 0.0, "x_hi": 1.0, "n_values": [8, 16, 32],
+                          "n_seeds": n_seeds}}
+            counts.update(coefficients=0, diag_gather=0)
+            run(parse_config(cfg_text(cfg)))
+            per_run.append(counts["coefficients"])
+            assert counts["diag_gather"] == n_seeds
+        assert per_run[0] > 0
+        assert per_run[0] == per_run[1]
 
 
 class TestRun:
@@ -392,6 +439,8 @@ class TestMain:
         ("yield", {"grid": {"t_max": 1.0, "x_max": 1.0, "h": 0.125}, "n_paths": 10}),
         ("simulate", {"grid": {"t_max": 4.0, "x_max": 4.0, "h": 0.25}}),
         ("compare", {"grid": {"t_max": 1.0, "x_max": 1.0, "h": 0.125}, "n_paths": 10}),
+        ("weakform", {"grid": {"t_max": 1.0, "x_max": 1.0, "h": 0.125},
+                      "weakform": {"h_values": [0.25, 0.125], "n_seeds": 2}}),
     ])
     def test_exit_3_non_finite_result(self, tmp_path, capsys, command, extra):
         out = tmp_path / "overflow"
@@ -401,6 +450,19 @@ class TestMain:
         assert main([command, "--config", p]) == 3
         assert "non-finite" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, text", [
+        (["--h", "nan"], None),
+        ([], '{"command": "simulate", "grid": {"t_max": 1.0, "x_max": 1.0, "h": 0.1}, '
+             '"coefficients": {"a": {"kind": "const", "value": NaN}}}'),
+    ], ids=["h-override-nan", "json-nan"])
+    def test_exit_2_non_finite_number(self, tmp_path, capsys, argv, text):
+        out = tmp_path / "nf"
+        p = tmp_path / "cfg.json"
+        p.write_text(text or json.dumps(SIM_CFG))
+        assert main(["simulate", "--config", str(p), "--out", str(out), *argv]) == 2
+        assert "finite number" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_exit_4_missing_config(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "absent.json")]) == 4

@@ -232,7 +232,7 @@ class TestSolveTransport:
         coeffs = cs(a_fn, negate(a_fn), c_fn)
         r0 = sp.polynomial_curve([0.1, 0.05])
 
-        from sheetpde._kernels import diag_gather_np
+        from sheetpde._kernels import diag_gather
 
         errors = []
         for h in (0.05, 0.025):
@@ -242,7 +242,7 @@ class TestSolveTransport:
             # i.e. W(s, m*h - s); w(0, .) = 0 already, as the solver requires
             xarg = np.maximum(g.sheet_x_values[None, :] - tt, 0.0)
             S = w(np.broadcast_to(tt, xarg.shape), xarg)
-            Wd = DiagonalPath(g, diag_gather_np(S, g.n_x + 1), 0, S)
+            Wd = DiagonalPath(g, diag_gather(S, g.n_x + 1), 0, S)
             r = sp.solve_transport(coeffs, r0, Wd)
 
             # reference by fine quadrature of the RHS along each characteristic
