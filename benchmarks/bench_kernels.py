@@ -2,9 +2,10 @@
 """Time the numpy kernels of ``sheetpde._kernels`` on hot-path sizes.
 
 Runs each kernel on sizes representative of the hot paths (Monte Carlo
-sheet generation at h = 1/512, the closed-form solvers and the QV
-reductions) and prints the best time of ``--repeats`` runs. This is a
-micro-benchmark; end-to-end timings come from ``e2ebench/run.py``.
+sheet generation at h = 1/512, the corner rows of the lemma checks, the
+closed-form solvers and the QV reductions) and prints the best time of
+``--repeats`` runs. This is a micro-benchmark; end-to-end timings come
+from ``e2ebench/run.py``.
 
 Usage: python benchmarks/bench_kernels.py [--repeats N]
 """
@@ -40,6 +41,7 @@ def main() -> None:
 
     cases = [
         ("prefix_sum_2d (512x1024)", K.prefix_sum_2d, (cells,)),
+        ("prefix_sum_rows (2 of 513)", K.prefix_sum_rows, (cells, [0, 512])),
         ("cumtrapz (513x1025)", K.cumtrapz, (vals, 1 / 512)),
         ("ito_cumsum (513x1025)", K.ito_cumsum, (vals, path)),
         ("diag_gather (513->513)", K.diag_gather, (vals, 513)),

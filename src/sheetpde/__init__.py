@@ -16,9 +16,8 @@ from .coefficients import (CoeffFn, CoefficientSet, const, coord_sum, coord_t,
                            coord_x, polynomial)
 from .bumps import TestFunction, bump_eval, interior_bump, standard_bump_battery
 from .rng import stream_for_path
-from .sheet import (DiagonalPath, RectRegion, SheetSample, diagonal_noise,
-                    empirical_covariance, rect_measure, restrict_sheet,
-                    sample_sheet, sample_sheet_batch, sample_sheets)
+from .sheet import (DiagonalPath, RectRegion, SheetSample, diagonal_noise, draw_cells,
+                    rect_measure, restrict_sheet, sample_sheet, sample_sheet_batch)
 from .operators import (OperatorD, WeakFormPlan, adjoint_identity_residual,
                         apply_D, apply_adjoint, weak_residual_time_equation,
                         weak_residual_transport)
@@ -27,13 +26,14 @@ from .solver import (ExistenceCriterionError, InitialCurve, NumericalCriterionEr
                      nelson_siegel_curve, polynomial_curve, solve_b_zero,
                      solve_ito_form, solve_transport, integral_identity_sides,
                      transport_solution)
-from .diagnostics import (ExistenceReport, HolderReport, LineField, QVReport,
-                          build_Z, build_Z_characteristic, equal_slab_partition,
-                          existence_check, holder_estimate, partition_sup_check,
-                          partition_product_check, qv_characteristic_theoretical,
+from .diagnostics import (ExistenceReport, HolderReport, LineField, PartitionPlan,
+                          QVReport, build_Z, build_Z_characteristic, equal_slab_partition,
+                          existence_check, holder_estimate, partition_product_check,
+                          partition_product_plan, partition_sup_check, partition_sup_plan,
+                          qv_characteristic_theoretical,
                           qv_diagonal_theoretical, qv_estimate, qv_report,
-                          qv_slicewise, qv_summary, qv_theoretical,
-                          separability_residual, weak_bracket_field)
+                          qv_slicewise, qv_summary, qv_theoretical, rect_measure_samples,
+                          run_partition_plans, separability_residual, weak_bracket_field)
 from .yield_curve import (CompareReport, EnsembleResult, YieldScenario,
                           compare_models, drift_decomposition_residual,
                           ms_simulate, sheet_increment_covariance,

@@ -1,7 +1,8 @@
 """Hot numeric kernels, in numpy.
 
-``prefix_sum_2d``, ``cumtrapz`` and ``diag_gather`` act on the two
-trailing axes, so a leading batch axis of sheets goes through one call.
+``prefix_sum_2d``, ``prefix_sum_rows``, ``cumtrapz`` and ``diag_gather``
+act on the two trailing axes, so a leading batch axis of sheets goes
+through one call.
 The strided increment reductions act on the last axis, so one call
 reduces every time slice of a field.
 
@@ -24,6 +25,31 @@ def prefix_sum_2d(cells: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     body = out[..., 1:, 1:]
     np.cumsum(cells, axis=-2, out=body)
     np.cumsum(body, axis=-1, out=body)
+    return out
+
+
+def prefix_sum_rows(cells: np.ndarray, rows, out: np.ndarray | None = None) -> np.ndarray:
+    """Selected rows of ``prefix_sum_2d(cells)``, bit for bit, without the rest:
+    out[..., r, :] = prefix_sum_2d(cells)[..., rows[r], :].
+
+    Row i is the column sum of ``cells[..., :i, :]`` followed by one cumsum
+    along x. Summing rows of a C-contiguous array adds them in order, as the
+    prefix sum's cumsum does; a single column would be summed pairwise, so
+    it takes the cumsum. ``cells`` needs only the first ``max(rows)`` rows.
+    """
+    n = cells.shape[-1]
+    if out is None:
+        out = np.empty(cells.shape[:-2] + (len(rows), n + 1), dtype=np.float64)
+    out[..., 0] = 0.0
+    for r, i in enumerate(rows):
+        body = out[..., r, 1:]
+        if i == 0:
+            body[...] = 0.0
+        elif n == 1:
+            body[...] = np.cumsum(cells[..., :i, :], axis=-2)[..., -1, :]
+        else:
+            np.sum(cells[..., :i, :], axis=-2, out=body)
+        np.cumsum(body, axis=-1, out=body)
     return out
 
 

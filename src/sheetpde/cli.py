@@ -30,8 +30,8 @@ import numpy as np
 from . import __version__
 from .coefficients import CoefficientSet, const, coord_sum, coord_t, coord_x, polynomial
 from .bumps import standard_bump_battery
-from .diagnostics import (QV_ESTIMATORS, existence_check, partition_sup_check,
-                          partition_product_check, qv_samples, qv_summary)
+from .diagnostics import (QV_ESTIMATORS, existence_check, partition_product_plan,
+                          partition_sup_plan, qv_samples, qv_summary, run_partition_plans)
 from .grids import GridError, make_grid
 from .operators import OperatorD, WeakFormPlan, write_residual_records
 from .sheet import RectRegion, diagonal_noise, restrict_sheet, sample_sheet
@@ -586,17 +586,13 @@ def _lemma_rectangles(g) -> tuple[RectRegion, RectRegion]:
 def _run_lemmas(cfg: RunConfig, outputs: _Outputs, workers: int) -> None:
     g, _ = _grid_curve(cfg)
     sec = cfg.data["lemmas"]
-    template = sample_sheet(g, cfg.data["seed"], path_index=0)
     unit, shifted = _lemma_rectangles(g)
     ones = const(1.0)
-    diag_rows = partition_product_check(template, ones, ones, unit, unit,
-                              sec["product_n_values"], "diagonal",
-                              n_seeds=sec["product_n_seeds"])
-    disj_rows = partition_product_check(template, ones, ones, unit, shifted,
-                              sec["product_n_values"], "disjoint",
-                              n_seeds=sec["product_n_seeds"])
-    sup_rows = partition_sup_check(template, unit, sec["sup_n_values"],
-                                   n_seeds=sec["sup_n_seeds"])
+    n_values, n_seeds = sec["product_n_values"], sec["product_n_seeds"]
+    plans = [partition_product_plan(g, ones, ones, unit, unit, n_values, "diagonal", n_seeds),
+             partition_product_plan(g, ones, ones, unit, shifted, n_values, "disjoint", n_seeds),
+             partition_sup_plan(g, unit, sec["sup_n_values"], n_seeds=sec["sup_n_seeds"])]
+    diag_rows, disj_rows, sup_rows = run_partition_plans(g, cfg.data["seed"], plans)
     report = {
         "partition_product_diagonal": [r.to_json_dict() for r in diag_rows],
         "partition_product_disjoint": [r.to_json_dict() for r in disj_rows],

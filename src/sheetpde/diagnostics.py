@@ -37,6 +37,11 @@ the Holder inputs from those arrays. ``qv_report`` and the ``qv``
 command reduce its per-seed values with ``qv_summary``. ``build_Z``,
 ``build_Z_characteristic`` and ``qv_slicewise`` are the same formulas
 applied to one sheet.
+
+The partition lemmas have one pass too: ``rect_measure_samples`` draws
+each path once and builds its sheet only on the rows that rectangle
+corners read, and ``run_partition_plans`` reduces any number of
+product and sup checks (``PartitionPlan``) from that pass.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ import numpy as np
 from . import _kernels
 from .coefficients import CoefficientSet
 from .grids import GridError, GridSpec, ScalarField
-from .sheet import RectRegion, SheetSample, sample_sheet
+from .sheet import RectRegion, SheetSample, draw_cells, sample_sheet
 
 __all__ = [
     "ExistenceReport",
@@ -75,8 +80,13 @@ __all__ = [
     "weak_bracket_field",
     "PartitionScheme",
     "equal_slab_partition",
+    "rect_measure_samples",
+    "PartitionPlan",
+    "run_partition_plans",
+    "partition_product_plan",
     "partition_product_check",
     "PartitionProductRow",
+    "partition_sup_plan",
     "partition_sup_check",
     "PartitionSupRow",
 ]
@@ -597,6 +607,67 @@ def _rect_measures(B: np.ndarray, corners) -> np.ndarray:
     return B[i1, j1] - B[i0, j1] - B[i1, j0] + B[i0, j0]
 
 
+def rect_measure_samples(grid: GridSpec, seed: int, corner_sets: Sequence,
+                         n_seeds: int) -> list[np.ndarray]:
+    """Per-seed Gaussian measures of several sets of rectangles, from one sheet loop.
+
+    Each entry of ``corner_sets`` holds the lattice corner indices
+    (i_lo, i_hi, j_lo, j_hi) of one set of rectangles, as arrays. Path k
+    of ``seed`` is drawn once, into one reused cell buffer that stops at
+    the highest corner row, and its sheet is built only on the distinct
+    corner rows (``prefix_sum_rows``, bit-identical to those rows of the
+    full sheet). Returns one (n_seeds, n_rectangles) array per set; row k
+    holds the measures on sheet k.
+    """
+    if not corner_sets:
+        return []
+    i0, i1, j0, j1 = (np.concatenate(parts) for parts in zip(*corner_sets))
+    rows, local = np.unique(np.concatenate([i0, i1]), return_inverse=True)
+    corners = (local[:i0.size], local[i0.size:], j0, j1)
+    cells = np.empty((1, rows[-1], grid.n_sheet_x))
+    B = np.empty((1, rows.size, grid.n_sheet_x + 1))
+    measures = np.empty((n_seeds, i0.size))
+    for k in range(n_seeds):
+        draw_cells(grid, seed, k, cells)
+        _kernels.prefix_sum_rows(cells, rows, out=B)
+        measures[k] = _rect_measures(B[0], corners)
+    ends = np.cumsum([c[0].size for c in corner_sets])
+    return np.split(measures, ends[:-1], axis=1)
+
+
+@dataclass(frozen=True)
+class PartitionPlan:
+    """The path-invariant part of one partition-lemma check.
+
+    ``corner_sets`` are the rectangle sets the check reads, ``n_seeds`` its
+    replica count, and ``reduce`` maps the per-seed measures of those sets
+    (as returned by ``rect_measure_samples``) to the check's report rows.
+    ``run_partition_plans`` runs any number of plans through one sheet loop.
+    """
+
+    corner_sets: tuple
+    n_seeds: int
+    reduce: Callable[[Sequence[np.ndarray]], list] = field(repr=False)
+
+
+def run_partition_plans(grid: GridSpec, seed: int,
+                        plans: Sequence[PartitionPlan]) -> list[list]:
+    """The rows of every plan, from one pass over paths 0..max(n_seeds)-1.
+
+    Each plan reduces the first ``plan.n_seeds`` paths, so path k feeds
+    every plan whose seed count exceeds k: the checks share their sheets.
+    """
+    measures = rect_measure_samples(grid, seed,
+                                    [c for p in plans for c in p.corner_sets],
+                                    max(p.n_seeds for p in plans))
+    out, pos = [], 0
+    for p in plans:
+        sets = measures[pos: pos + len(p.corner_sets)]
+        out.append(p.reduce([m[:p.n_seeds] for m in sets]))
+        pos += len(p.corner_sets)
+    return out
+
+
 def _intersection(F: RectRegion, G: RectRegion) -> RectRegion | None:
     t_lo, t_hi = max(F.t_lo, G.t_lo), min(F.t_hi, G.t_hi)
     x_lo, x_hi = max(F.x_lo, G.x_lo), min(F.x_hi, G.x_hi)
@@ -630,20 +701,12 @@ class PartitionProductRow:
                 "l2_distance": self.l2_distance, "std_error": self.std_error}
 
 
-def partition_product_check(sheet: SheetSample, R: Callable, S: Callable,
-                  F: RectRegion, G: RectRegion, n_values: Sequence[int],
-                  mode: Literal["diagonal", "disjoint"],
-                  n_seeds: int = 1000) -> list[PartitionProductRow]:
-    """L2 convergence of sum_k R_k S_k X(F_k) X(G_k) over slab partitions.
-
-    In diagonal mode (F and G sharing their x-extent) the limit is
-    int_{F cap G} R S d(area); in disjoint mode (x-extents disjoint) it
-    is 0. R_k, S_k are midpoint values on the matching cells. The sheet
-    argument supplies the grid and the root seed; each of the ``n_seeds``
-    replicas is drawn from its own derived stream and reused across the
-    partition sizes, so decay across n is measured on fixed seed batches.
-    """
-    grid = sheet.grid
+def partition_product_plan(grid: GridSpec, R: Callable, S: Callable, F: RectRegion,
+                           G: RectRegion, n_values: Sequence[int],
+                           mode: Literal["diagonal", "disjoint"],
+                           n_seeds: int = 1000) -> PartitionPlan:
+    """The plan of ``partition_product_check``: its geometry checks, limit,
+    slab corners and midpoint weights R_k S_k, built once."""
     inter = _intersection(F, G)
     if mode == "diagonal":
         if inter is None or abs(F.x_lo - G.x_lo) > 1e-12 or abs(F.x_hi - G.x_hi) > 1e-12:
@@ -661,7 +724,7 @@ def partition_product_check(sheet: SheetSample, R: Callable, S: Callable,
         return (np.array([(c.t_lo + c.t_hi) / 2 for c in cells]),
                 np.array([(c.x_lo + c.x_hi) / 2 for c in cells]))
 
-    per_n = {}
+    corner_sets, weights = [], []
     for n in n_values:
         pf = equal_slab_partition(F, n, grid)
         pg = equal_slab_partition(G, n, grid)
@@ -673,26 +736,37 @@ def partition_product_check(sheet: SheetSample, R: Callable, S: Callable,
             mid_f, mid_g = midpoints(pf.cells), midpoints(pg.cells)
         rk_sk = (np.asarray(R(*mid_f), dtype=np.float64)
                  * np.asarray(S(*mid_g), dtype=np.float64))
-        per_n[n] = (_corner_indices(grid, pf.cells), _corner_indices(grid, pg.cells),
-                    np.broadcast_to(rk_sk, (n,)))
+        corner_sets += [_corner_indices(grid, pf.cells), _corner_indices(grid, pg.cells)]
+        weights.append(np.broadcast_to(rk_sk, (n,)))
 
-    sums = {n: np.empty(n_seeds) for n in n_values}
-    for k in range(n_seeds):
-        sample = sample_sheet(grid, sheet.seed, path_index=k)
-        for n in n_values:
-            corners_f, corners_g, rk_sk = per_n[n]
-            mf = _rect_measures(sample.values, corners_f)
-            mg = _rect_measures(sample.values, corners_g)
-            sums[n][k] = float(np.sum(rk_sk * mf * mg))
+    def reduce(measures: Sequence[np.ndarray]) -> list[PartitionProductRow]:
+        rows = []
+        for n, rk_sk, mf, mg in zip(n_values, weights, measures[::2], measures[1::2]):
+            s = np.sum(rk_sk * mf * mg, axis=1)
+            rows.append(PartitionProductRow(n, float(np.mean(s)), limit,
+                                            float(np.sqrt(np.mean((s - limit) ** 2))),
+                                            float(np.std(s, ddof=1) / np.sqrt(s.size)),
+                                            samples=tuple(float(v) for v in s)))
+        return rows
 
-    rows = []
-    for n in n_values:
-        s = sums[n]
-        rows.append(PartitionProductRow(n, float(np.mean(s)), limit,
-                               float(np.sqrt(np.mean((s - limit) ** 2))),
-                               float(np.std(s, ddof=1) / np.sqrt(n_seeds)),
-                               samples=tuple(float(v) for v in s)))
-    return rows
+    return PartitionPlan(tuple(corner_sets), n_seeds, reduce)
+
+
+def partition_product_check(sheet: SheetSample, R: Callable, S: Callable,
+                  F: RectRegion, G: RectRegion, n_values: Sequence[int],
+                  mode: Literal["diagonal", "disjoint"],
+                  n_seeds: int = 1000) -> list[PartitionProductRow]:
+    """L2 convergence of sum_k R_k S_k X(F_k) X(G_k) over slab partitions.
+
+    In diagonal mode (F and G sharing their x-extent) the limit is
+    int_{F cap G} R S d(area); in disjoint mode (x-extents disjoint) it
+    is 0. R_k, S_k are midpoint values on the matching cells. The sheet
+    argument supplies the grid and the root seed; each of the ``n_seeds``
+    replicas is drawn from its own derived stream and reused across the
+    partition sizes, so decay across n is measured on fixed seed batches.
+    """
+    plan = partition_product_plan(sheet.grid, R, S, F, G, n_values, mode, n_seeds)
+    return run_partition_plans(sheet.grid, sheet.seed, [plan])[0]
 
 
 @dataclass(frozen=True)
@@ -707,6 +781,24 @@ class PartitionSupRow:
                 "hypothesis_value": self.hypothesis_value}
 
 
+def partition_sup_plan(grid: GridSpec, base: RectRegion, n_values: Sequence[int],
+                       kappa: float = 0.5, n_seeds: int = 20) -> PartitionPlan:
+    """The plan of ``partition_sup_check``: the slab corners of each partition."""
+    schemes = [equal_slab_partition(base, n, grid) for n in n_values]
+
+    def reduce(measures: Sequence[np.ndarray]) -> list[PartitionSupRow]:
+        rows = []
+        for n, scheme, m in zip(n_values, schemes, measures):
+            sups = np.max(np.abs(m), axis=1)
+            rows.append(PartitionSupRow(n, float(np.median(sups)),
+                                        float(n ** kappa * scheme.sup_cell_area),
+                                        samples=tuple(float(v) for v in sups)))
+        return rows
+
+    return PartitionPlan(tuple(_corner_indices(grid, sc.cells) for sc in schemes),
+                         n_seeds, reduce)
+
+
 def partition_sup_check(sheet: SheetSample, base: RectRegion,
                         n_values: Sequence[int], kappa: float = 0.5,
                         n_seeds: int = 20) -> list[PartitionSupRow]:
@@ -715,16 +807,5 @@ def partition_sup_check(sheet: SheetSample, base: RectRegion,
     Equal slabs give sup cell area = area/n, so n^kappa * sup -> 0 for
     any kappa < 1 and the sup statistic must decay with n.
     """
-    grid = sheet.grid
-    schemes = {n: equal_slab_partition(base, n, grid) for n in n_values}
-    corners = {n: _corner_indices(grid, schemes[n].cells) for n in n_values}
-    sups = {n: np.empty(n_seeds) for n in n_values}
-    for k in range(n_seeds):
-        sample = sample_sheet(grid, sheet.seed, path_index=k)
-        for n in n_values:
-            m = _rect_measures(sample.values, corners[n])
-            sups[n][k] = float(np.max(np.abs(m))) if m.size else 0.0
-    return [PartitionSupRow(n, float(np.median(sups[n])),
-                            float(n ** kappa * schemes[n].sup_cell_area),
-                            samples=tuple(float(v) for v in sups[n]))
-            for n in n_values]
+    plan = partition_sup_plan(sheet.grid, base, n_values, kappa, n_seeds)
+    return run_partition_plans(sheet.grid, sheet.seed, [plan])[0]

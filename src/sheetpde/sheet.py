@@ -15,7 +15,6 @@ point of the solution domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -27,12 +26,11 @@ __all__ = [
     "SheetSample",
     "RectRegion",
     "DiagonalPath",
+    "draw_cells",
     "sample_sheet",
     "sample_sheet_batch",
-    "sample_sheets",
     "rect_measure",
     "diagonal_noise",
-    "empirical_covariance",
     "restrict_sheet",
 ]
 
@@ -126,22 +124,37 @@ class DiagonalPath:
         lattice_to_csv(path, self.grid.t_values, self.grid.x_values, self.values)
 
 
+def draw_cells(grid: GridSpec, seed: int, start: int, cells: np.ndarray) -> np.ndarray:
+    """Draw the N(0, h^2) cell masses of paths start, start+1, ... into ``cells``.
+
+    ``cells`` has shape (batch, rows, n_sheet_x) with rows <= n_t, and
+    ``cells[b]`` receives the first ``rows`` time rows of path ``start + b``,
+    drawn from that path's own stream. A stream fills the rows in order,
+    so the first rows of a path do not depend on how many are drawn.
+    Returns ``cells``.
+    """
+    if cells.ndim != 3 or cells.shape[1] > grid.n_t or cells.shape[2] != grid.n_sheet_x:
+        raise GridError("cell buffer does not match the extended lattice")
+    for b in range(cells.shape[0]):
+        stream_for_path(seed, start + b).standard_normal(out=cells[b])
+    cells *= grid.h
+    return cells
+
+
 def sample_sheet_batch(grid: GridSpec, seed: int, start: int, cells: np.ndarray,
                        values: np.ndarray) -> np.ndarray:
     """Sample paths start, start+1, ... into preallocated buffers.
 
-    ``cells`` has shape (batch, n_t, n_sheet_x) and receives the N(0, h^2)
-    cell masses of path ``start + b`` in ``cells[b]``, each drawn from
-    that path's own stream; ``values`` has shape (batch, n_t+1,
-    n_sheet_x+1) and receives the sheets. Every path is bit-identical to
-    ``sample_sheet(grid, seed, start + b)``. Returns ``values``.
+    ``cells`` has shape (batch, n_t, n_sheet_x) and receives the cell
+    masses of path ``start + b`` in ``cells[b]`` (``draw_cells``);
+    ``values`` has shape (batch, n_t+1, n_sheet_x+1) and receives the
+    sheets. Every path is bit-identical to ``sample_sheet(grid, seed,
+    start + b)``. Returns ``values``.
     """
     if (cells.shape[1:] != (grid.n_t, grid.n_sheet_x)
             or values.shape != (cells.shape[0], grid.n_t + 1, grid.n_sheet_x + 1)):
         raise GridError("sheet buffers do not match the extended lattice")
-    for b in range(cells.shape[0]):
-        stream_for_path(seed, start + b).standard_normal(out=cells[b])
-    cells *= grid.h
+    draw_cells(grid, seed, start, cells)
     return _kernels.prefix_sum_2d(cells, out=values)
 
 
@@ -151,12 +164,6 @@ def sample_sheet(grid: GridSpec, seed: int, path_index: int = 0) -> SheetSample:
     values = np.empty((1, grid.n_t + 1, grid.n_sheet_x + 1))
     sample_sheet_batch(grid, seed, path_index, cells, values)
     return SheetSample(grid, values[0], cells[0], seed)
-
-
-def sample_sheets(grid: GridSpec, seed: int, n: int):
-    """Yield n independent sheets on per-path derived streams."""
-    for k in range(n):
-        yield sample_sheet(grid, seed, path_index=k)
 
 
 def rect_measure(sheet: SheetSample, r: RectRegion) -> float:
@@ -171,20 +178,6 @@ def diagonal_noise(sheet: SheetSample) -> DiagonalPath:
     g = sheet.grid
     W = _kernels.diag_gather(sheet.values, g.n_x + 1)
     return DiagonalPath(g, W, sheet.seed, sheet.values)
-
-
-def empirical_covariance(samples: Sequence, p1: tuple[float, float],
-                         p2: tuple[float, float]) -> float:
-    """Unbiased sample covariance of field values at two points across samples.
-
-    Samples may be any mix of objects exposing ``value_at(t, x)``
-    (ScalarField, SheetSample, DiagonalPath).
-    """
-    if len(samples) < 2:
-        raise ValueError("empirical covariance needs at least 2 samples")
-    v1 = np.array([s.value_at(*p1) for s in samples])
-    v2 = np.array([s.value_at(*p2) for s in samples])
-    return float(np.cov(v1, v2, ddof=1)[0, 1])
 
 
 def restrict_sheet(sheet: SheetSample, factor: int) -> SheetSample:

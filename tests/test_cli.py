@@ -6,8 +6,10 @@ import pytest
 
 import sheetpde as sp
 from sheetpde import _kernels
+from sheetpde import sheet as sheet_mod
 from sheetpde.cli import (ConfigError, NumericalCriterionError, main,
                           parse_config, run)
+from sheetpde.rng import stream_for_path
 from sheetpde.yield_curve import negate
 
 QV_CFG = {
@@ -192,6 +194,74 @@ class TestQvPassRunsOnce:
             assert counts["diag_gather"] == n_seeds
         assert per_run[0] > 0
         assert per_run[0] == per_run[1]
+
+
+LEMMA_CFGS = {
+    # the default partition counts at h = 1/256, with the benchmark's seed counts
+    "default-counts": ({"t_max": 1.0, "x_max": 1.0, "h": 1 / 256},
+                       {"product_n_values": [8, 32, 128], "product_n_seeds": 60,
+                        "sup_n_values": [4, 16, 64, 256], "sup_n_seeds": 20}),
+    "sup-seeds-exceed-product": ({"t_max": 1.0, "x_max": 1.0, "h": 1 / 64},
+                                 {"product_n_values": [4, 16], "product_n_seeds": 7,
+                                  "sup_n_values": [2, 8, 64], "sup_n_seeds": 30}),
+    # the unit rectangle's top row is the middle row of the sheet
+    "t-max-2": ({"t_max": 2.0, "x_max": 1.0, "h": 1 / 64},
+                {"product_n_values": [4, 16, 64], "product_n_seeds": 40,
+                 "sup_n_values": [4, 16], "sup_n_seeds": 12}),
+}
+
+
+def lemma_cfg(name, out_dir, seed=17):
+    grid, sec = LEMMA_CFGS[name]
+    return parse_config(cfg_text({"command": "lemmas", "grid": grid, "seed": seed,
+                                  "out_dir": str(out_dir), "lemmas": sec}))
+
+
+class TestLemmasShareOnePass:
+    """The lemmas command draws each path once for all three checks, and
+    writes what the three public checks give when run one after another."""
+
+    @pytest.mark.parametrize("name", ["sup-seeds-exceed-product", "t-max-2"])
+    def test_one_stream_per_path(self, name, tmp_path, monkeypatch):
+        paths = []
+
+        def counting(seed, path_index=0):
+            paths.append(path_index)
+            return stream_for_path(seed, path_index)
+
+        monkeypatch.setattr(sheet_mod, "stream_for_path", counting)
+        cfg = lemma_cfg(name, tmp_path / "o")
+        run(cfg)
+        sec = cfg.data["lemmas"]
+        assert paths == list(range(max(sec["product_n_seeds"], sec["sup_n_seeds"])))
+
+    @pytest.mark.parametrize("name", sorted(LEMMA_CFGS))
+    def test_outputs_match_the_three_checks(self, name, tmp_path):
+        cfg = lemma_cfg(name, tmp_path / "o")
+        run(cfg)
+        g, sec = sp.make_grid(**cfg.data["grid"]), cfg.data["lemmas"]
+        template = sp.sample_sheet(g, cfg.data["seed"], path_index=0)
+        unit = sp.RectRegion(0.0, 1.0, 0.0, 1.0)
+        shifted = sp.RectRegion(0.0, 1.0, 1.0, 2.0)
+        one = sp.const(1.0)
+        checks = {
+            "partition_product_diagonal": sp.partition_product_check(
+                template, one, one, unit, unit, sec["product_n_values"], "diagonal",
+                n_seeds=sec["product_n_seeds"]),
+            "partition_product_disjoint": sp.partition_product_check(
+                template, one, one, unit, shifted, sec["product_n_values"], "disjoint",
+                n_seeds=sec["product_n_seeds"]),
+            "partition_sup": sp.partition_sup_check(template, unit, sec["sup_n_values"],
+                                                    n_seeds=sec["sup_n_seeds"]),
+        }
+        report = {k: [r.to_json_dict() for r in rows] for k, rows in checks.items()}
+        csv = ["check,n,seed,statistic\n"] + [
+            f"{label},{r.n},{k},{v:.17g}\n"
+            for label, rows in checks.items() for r in rows for k, v in enumerate(r.samples)]
+        out = tmp_path / "o"
+        assert (out / "lemmas_report.json").read_text(encoding="utf-8") == (
+            json.dumps(report, indent=2, sort_keys=True) + "\n")
+        assert (out / "lemmas_convergence.csv").read_text(encoding="utf-8") == "".join(csv)
 
 
 class TestRun:

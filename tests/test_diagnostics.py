@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 import sheetpde as sp
-from sheetpde.diagnostics import (LineField, PartitionScheme, equal_slab_partition,
-                                  partition_product_check, partition_sup_check)
+from sheetpde import sheet as sheet_mod
+from sheetpde.diagnostics import (LineField, PartitionScheme, _corner_indices,
+                                  _rect_measures, equal_slab_partition,
+                                  partition_product_check, partition_sup_check,
+                                  rect_measure_samples)
+from sheetpde.rng import stream_for_path
 from sheetpde.sheet import RectRegion
 from sheetpde.yield_curve import negate
 
@@ -347,6 +351,33 @@ class TestPartitionProduct:
         assert all(r.limit == 0.0 for r in rows)
         assert rows[0].l2_distance > rows[1].l2_distance > rows[2].l2_distance
 
+    def test_samples_are_the_per_sheet_sums(self):
+        # the per-seed sum is the 1-D numpy sum over k of R_k S_k X(F_k) X(G_k)
+        g = sp.make_grid(1.0, 1.0, 1 / 32)
+        F, G = RectRegion(0.0, 1.0, 0.0, 1.0), RectRegion(0.0, 1.0, 1.0, 2.0)
+
+        def R(t, x):
+            return 1.0 + x
+
+        def S(t, x):
+            return 2.0 - t + 0.0 * x
+
+        def mids(cells):
+            return (np.array([(c.t_lo + c.t_hi) / 2 for c in cells]),
+                    np.array([(c.x_lo + c.x_hi) / 2 for c in cells]))
+
+        rows = partition_product_check(sp.sample_sheet(g, 5), R, S, F, G, [4, 32],
+                                       "disjoint", n_seeds=4)
+        for row in rows:
+            pf = equal_slab_partition(F, row.n, g).cells
+            pg = equal_slab_partition(G, row.n, g).cells
+            rk_sk = R(*mids(pf)) * S(*mids(pg))
+            for k in range(4):
+                sheet = sp.sample_sheet(g, 5, path_index=k)
+                mf = np.array([sp.rect_measure(sheet, c) for c in pf])
+                mg = np.array([sp.rect_measure(sheet, c) for c in pg])
+                assert row.samples[k] == float(np.sum(rk_sk * mf * mg))
+
     def test_zero_weight_gives_zero_sum(self, lemma_grid_sheet):
         g, sheet = lemma_grid_sheet
         unit = RectRegion(0.0, 1.0, 0.0, 1.0)
@@ -391,3 +422,39 @@ class TestPartitionSup:
         base = RectRegion(0.0, 1.0, 0.5, 0.5)
         rows = partition_sup_check(sheet, base, [4], n_seeds=3)
         assert rows[0].median_sup == 0.0
+
+
+class TestRectMeasureSamples:
+    """The lemma loop: one draw per path, sheet rows only at the corners."""
+
+    @staticmethod
+    def corner_sets(g):
+        unit = RectRegion(0.0, 1.0, 0.0, 1.0)
+        inner = RectRegion(0.25, 0.75, 0.5, 1.5)
+        return [_corner_indices(g, equal_slab_partition(unit, 4, g).cells),
+                _corner_indices(g, equal_slab_partition(inner, 16, g).cells),
+                _corner_indices(g, [RectRegion(0.5, 0.5, 0.0, 3.0),
+                                    RectRegion(0.0, 1.5, 0.0, 3.0)])]
+
+    def test_matches_full_sheets_bit_for_bit(self):
+        # t_max = 2: no corner lies on the last sheet row, so fewer rows are drawn
+        g = sp.make_grid(2.0, 1.0, 1 / 16)
+        sets = self.corner_sets(g)
+        got = rect_measure_samples(g, 31, sets, 5)
+        assert [m.shape for m in got] == [(5, 4), (5, 16), (5, 2)]
+        for k in range(5):
+            B = sp.sample_sheet(g, 31, path_index=k).values
+            for m, corners in zip(got, sets):
+                assert m[k].tobytes() == _rect_measures(B, corners).tobytes()
+
+    def test_each_path_is_drawn_once(self, monkeypatch):
+        g = sp.make_grid(2.0, 1.0, 1 / 16)
+        paths = []
+
+        def counting(seed, path_index=0):
+            paths.append(path_index)
+            return stream_for_path(seed, path_index)
+
+        monkeypatch.setattr(sheet_mod, "stream_for_path", counting)
+        rect_measure_samples(g, 31, self.corner_sets(g), 6)
+        assert paths == list(range(6))

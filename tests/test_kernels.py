@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sheetpde import _kernels as K
 
@@ -82,3 +83,28 @@ class TestBatchAxis:
         assert out.shape == (3, 41, 31)
         for b in range(3):
             assert np.array_equal(out[b], K.diag_gather(self.STACK[b], 31))
+
+
+class TestPrefixSumRows:
+    """Rows built from column sums are the prefix sum's rows, bit for bit."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data(), batch=st.sampled_from([(), (1,), (3,)]),
+           m=st.integers(1, 40), n=st.integers(1, 40),
+           h=st.sampled_from([1 / 3, 0.1, 1 / 48, 0.125]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_match_prefix_sum_bit_for_bit(self, data, batch, m, n, h, seed):
+        cells = np.random.default_rng(seed).standard_normal(batch + (m, n)) * h
+        picked = data.draw(st.lists(st.integers(0, m), min_size=0, max_size=5))
+        rows = sorted(set(picked) | {0, m})
+        ref = K.prefix_sum_2d(cells)[..., rows, :]
+        # the rows need only the cells below the highest one
+        out = K.prefix_sum_rows(cells[..., :max(rows), :], rows)
+        assert out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()
+
+    def test_into_dirty_buffer_in_any_row_order(self):
+        rows = [40, 0, 17]
+        out = np.full((3, 71), np.nan)
+        assert K.prefix_sum_rows(CELLS, rows, out=out) is out
+        assert out.tobytes() == K.prefix_sum_2d(CELLS)[rows].tobytes()

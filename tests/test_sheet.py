@@ -8,6 +8,25 @@ from sheetpde.sheet import RectRegion
 N_MC = 4000
 
 
+def sample_sheets(grid, seed, n):
+    """Yield n independent sheets on per-path derived streams."""
+    for k in range(n):
+        yield sp.sample_sheet(grid, seed, path_index=k)
+
+
+def empirical_covariance(samples, p1, p2):
+    """Unbiased sample covariance of field values at two points across samples.
+
+    Samples may be any mix of objects exposing ``value_at(t, x)``
+    (ScalarField, SheetSample, DiagonalPath).
+    """
+    if len(samples) < 2:
+        raise ValueError("empirical covariance needs at least 2 samples")
+    v1 = np.array([s.value_at(*p1) for s in samples])
+    v2 = np.array([s.value_at(*p2) for s in samples])
+    return float(np.cov(v1, v2, ddof=1)[0, 1])
+
+
 @pytest.fixture(scope="module")
 def mc_sheets():
     g = sp.make_grid(1.0, 1.0, 0.25)
@@ -29,7 +48,7 @@ class TestSampling:
         assert not np.array_equal(a.values, b.values)
 
     def test_sample_sheets_matches_per_path_calls(self, unit_grid_h025):
-        batch = list(sp.sample_sheets(unit_grid_h025, 7, 3))
+        batch = list(sample_sheets(unit_grid_h025, 7, 3))
         for k, s in enumerate(batch):
             assert np.array_equal(
                 s.values, sp.sample_sheet(unit_grid_h025, 7, path_index=k).values)
@@ -51,6 +70,21 @@ class TestSampling:
             sp.sample_sheet_batch(g, 7, 0, cells, np.empty((3, g.n_t + 1, g.n_sheet_x + 1)))
         with pytest.raises(GridError):
             sp.sample_sheet_batch(g, 7, 0, cells, np.empty((2, g.n_t + 1, g.n_sheet_x)))
+
+    def test_draw_cells_first_rows_match_the_full_draw(self):
+        g = sp.make_grid(2.0, 1.0, 1 / 16)
+        cells = np.full((2, 13, g.n_sheet_x), np.nan)
+        assert sp.draw_cells(g, 7, 4, cells) is cells
+        for b in range(2):
+            full = sp.sample_sheet(g, 7, path_index=4 + b).cell_increments
+            assert np.array_equal(cells[b], full[:13])
+
+    def test_draw_cells_rejects_mismatched_buffers(self, unit_grid_h025):
+        g = unit_grid_h025
+        for shape in ((1, g.n_t + 1, g.n_sheet_x), (1, g.n_t, g.n_sheet_x - 1),
+                      (g.n_t, g.n_sheet_x)):
+            with pytest.raises(GridError):
+                sp.draw_cells(g, 7, 0, np.empty(shape))
 
     def test_zero_boundaries(self, unit_grid_h025):
         for seed in (0, 1, 12345):
@@ -114,7 +148,7 @@ class TestDistributionalLaws:
     def test_covariance_min_min(self, mc_sheets):
         g, sheets = mc_sheets
         # Cov(B(0.5, 1.0), B(1.0, 0.5)) = min(0.5,1)*min(1,0.5) = 0.25
-        c = sp.empirical_covariance(sheets, (0.5, 1.0), (1.0, 0.5))
+        c = empirical_covariance(sheets, (0.5, 1.0), (1.0, 0.5))
         se = np.sqrt((0.25 ** 2 + 0.5 * 0.5) / (N_MC - 1))
         assert abs(c - 0.25) <= 3 * se
 
@@ -177,23 +211,23 @@ class TestEmpiricalCovariance:
     def test_identical_constant_fields(self, unit_grid_h025):
         fields = [sp.ScalarField.from_function(unit_grid_h025, lambda t, x: 1.0 + 0 * t)
                   for _ in range(5)]
-        assert sp.empirical_covariance(fields, (0.5, 0.5), (0.25, 0.75)) == 0.0
+        assert empirical_covariance(fields, (0.5, 0.5), (0.25, 0.75)) == 0.0
 
     def test_same_point_gives_variance(self, unit_grid_h025):
         sheets = [sp.sample_sheet(unit_grid_h025, 20, path_index=k) for k in range(50)]
-        v = sp.empirical_covariance(sheets, (1.0, 1.0), (1.0, 1.0))
+        v = empirical_covariance(sheets, (1.0, 1.0), (1.0, 1.0))
         assert v >= 0.0
 
     def test_same_point_variance_is_area(self, mc_sheets):
         g, sheets = mc_sheets
-        v = sp.empirical_covariance(sheets, (1.0, 1.0), (1.0, 1.0))
+        v = empirical_covariance(sheets, (1.0, 1.0), (1.0, 1.0))
         se = 1.0 * np.sqrt(2.0 / N_MC)   # Var(B(1,1)) = area of [0,1]^2 = 1
         assert abs(v - 1.0) <= 3 * se
 
     def test_needs_two_samples(self, unit_grid_h025):
         s = sp.sample_sheet(unit_grid_h025, 1)
         with pytest.raises(ValueError):
-            sp.empirical_covariance([s], (0.5, 0.5), (0.5, 0.5))
+            empirical_covariance([s], (0.5, 0.5), (0.5, 0.5))
 
 
 class TestRestriction:
