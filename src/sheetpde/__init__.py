@@ -23,8 +23,8 @@ from .operators import (OperatorD, WeakFormPlan, adjoint_identity_residual,
                         weak_residual_transport)
 from .solver import (ExistenceCriterionError, InitialCurve, NumericalCriterionError,
                      Provenance, SolutionField, TransportPlan, flat_curve, ito_integral,
-                     nelson_siegel_curve, polynomial_curve, solve_b_zero,
-                     solve_ito_form, solve_transport, integral_identity_sides,
+                     nelson_siegel_curve, polynomial_curve, require_criterion,
+                     solve_b_zero, solve_ito_form, solve_transport, integral_identity_sides,
                      transport_solution)
 from .diagnostics import (ExistenceReport, HolderReport, LineField, PartitionPlan,
                           QVReport, build_Z, build_Z_characteristic, equal_slab_partition,

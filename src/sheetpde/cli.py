@@ -30,13 +30,13 @@ import numpy as np
 from . import __version__
 from .coefficients import CoefficientSet, const, coord_sum, coord_t, coord_x, polynomial
 from .bumps import standard_bump_battery
-from .diagnostics import (QV_ESTIMATORS, existence_check, partition_product_plan,
-                          partition_sup_plan, qv_samples, qv_summary, run_partition_plans)
+from .diagnostics import (QV_ESTIMATORS, partition_product_plan, partition_sup_plan,
+                          qv_samples, qv_summary, run_partition_plans)
 from .grids import GridError, make_grid
 from .operators import OperatorD, WeakFormPlan, write_residual_records
 from .sheet import RectRegion, diagonal_noise, restrict_sheet, sample_sheet
-from .solver import (ExistenceCriterionError, InitialCurve, NumericalCriterionError,
-                     TransportPlan, flat_curve, nelson_siegel_curve, polynomial_curve,
+from .solver import (InitialCurve, NumericalCriterionError, TransportPlan, flat_curve,
+                     nelson_siegel_curve, polynomial_curve, require_criterion,
                      require_finite, solve_transport, transport_solution)
 from .yield_curve import (YieldScenario, compare_models, negate, simulate_yield,
                           write_slices_csv)
@@ -67,7 +67,7 @@ _SCHEMA = {
     "grid": {"t_max", "x_max", "h"},
     "coefficients": {"a", "b", "c"},
     "initial_curve": {"kind", "level", "beta0", "beta1", "beta2", "tau", "coeffs"},
-    "tolerances": {"qv_relative", "mc_sigmas", "deterministic"},
+    "tolerances": {"qv_relative", "mc_sigmas"},
     "simulate": set(),
     "qv": {"t", "x_lo", "x_hi", "n_values", "n_seeds"},
     "weakform": {"h_values", "n_seeds"},
@@ -83,7 +83,7 @@ _DEFAULTS = {
     "coefficients": {"a": {"kind": "const", "value": 1.0},
                      "c": {"kind": "const", "value": 0.0}},
     "initial_curve": {"kind": "flat", "level": 0.0},
-    "tolerances": {"qv_relative": 0.1, "mc_sigmas": 3.0, "deterministic": 1e-9},
+    "tolerances": {"qv_relative": 0.1, "mc_sigmas": 3.0},
     "qv": {"t": 1.0, "x_lo": 0.0, "x_hi": 1.0, "n_values": [64, 128, 256], "n_seeds": 50},
     "weakform": {"h_values": [0.04, 0.02, 0.01], "n_seeds": 20},
     "lemmas": {"product_n_values": [8, 32, 128], "product_n_seeds": 1000,
@@ -177,8 +177,9 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
 
     Overrides (from command-line flags) are applied before validation.
     Raises ConfigError for syntax errors, unknown keys or invalid values,
-    and NumericalCriterionError when the coefficients of a solve command
-    violate the existence criterion a = -b.
+    and ExistenceCriterionError (a NumericalCriterionError) when an
+    explicit b of a solve command violates the existence criterion a = -b,
+    checked by the solvers' own ``require_criterion``.
     """
     try:
         raw = json.loads(text, parse_constant=_reject_non_finite)
@@ -287,16 +288,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
 
     # solve commands force b = -a; an explicit b must satisfy the criterion
     if command in ("simulate", "yield", "weakform", "compare") and "b" in coeffs_cfg:
-        grid = make_grid(**grid_cfg)
-        cs = CoefficientSet(a=coeff_from_spec(coeffs_cfg["a"]),
-                            b=coeff_from_spec(coeffs_cfg["b"]),
-                            c=coeff_from_spec(coeffs_cfg["c"]))
-        report = existence_check(cs, grid, tol=tol["deterministic"])
-        if not report.exists:
-            raise NumericalCriterionError(
-                "a function solution exists if and only if a(t,x) = -b(t,x); "
-                f"config violates the criterion with sup |a + b| = "
-                f"{report.max_deviation:.3e} at (t, x) = {report.location}")
+        require_criterion(_coefficient_set(coeffs_cfg), make_grid(**grid_cfg))
 
     return RunConfig(command, data)
 
@@ -392,8 +384,7 @@ def _validate_section(command: str, sec: dict, grid_cfg: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _coefficient_set(cfg: RunConfig) -> CoefficientSet:
-    spec = cfg.data["coefficients"]
+def _coefficient_set(spec: dict) -> CoefficientSet:
     a = coeff_from_spec(spec["a"])
     b = coeff_from_spec(spec["b"]) if "b" in spec else negate(a)
     c = coeff_from_spec(spec["c"])
@@ -427,7 +418,11 @@ def _write_json(path: Path, obj) -> None:
 
 
 def run(cfg: RunConfig, workers: int = 1) -> list[str]:
-    """Execute a validated config; returns the list of files written."""
+    """Execute a validated config; returns the list of files written.
+
+    Every command runs on one thread. ``workers`` has no effect: it is
+    accepted because existing callers still pass it.
+    """
     out_dir = Path(cfg.data["out_dir"])
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -441,7 +436,7 @@ def run(cfg: RunConfig, workers: int = 1) -> list[str]:
         runner = {"simulate": _run_simulate, "qv": _run_qv, "weakform": _run_weakform,
                   "lemmas": _run_lemmas, "yield": _run_yield,
                   "compare": _run_compare}[cfg.command]
-        runner(cfg, outputs, workers)
+        runner(cfg, outputs)
         manifest = {
             "command": cfg.command,
             "seed": cfg.data["seed"],
@@ -465,9 +460,9 @@ def _grid_curve(cfg: RunConfig):
     return g, r0
 
 
-def _run_simulate(cfg: RunConfig, outputs: _Outputs, workers: int) -> None:
+def _run_simulate(cfg: RunConfig, outputs: _Outputs) -> None:
     g, r0 = _grid_curve(cfg)
-    coeffs = _coefficient_set(cfg)
+    coeffs = _coefficient_set(cfg.data["coefficients"])
     # the sheet's cell masses are not needed by the solve; not keeping the
     # sheet frees them before the solve's temporaries are allocated
     W = diagonal_noise(sample_sheet(g, cfg.data["seed"], path_index=0))
@@ -477,9 +472,9 @@ def _run_simulate(cfg: RunConfig, outputs: _Outputs, workers: int) -> None:
     transport_solution(g, r0).to_csv(outputs.path("baseline.csv"))
 
 
-def _run_qv(cfg: RunConfig, outputs: _Outputs, workers: int) -> None:
+def _run_qv(cfg: RunConfig, outputs: _Outputs) -> None:
     g, _ = _grid_curve(cfg)
-    coeffs = _coefficient_set(cfg)
+    coeffs = _coefficient_set(cfg.data["coefficients"])
     sec = cfg.data["qv"]
     t, x_lo, x_hi = float(sec["t"]), float(sec["x_lo"]), float(sec["x_hi"])
     n_values = sec["n_values"]
@@ -522,12 +517,12 @@ def _run_qv(cfg: RunConfig, outputs: _Outputs, workers: int) -> None:
                     f.write(f"{est},{n},{k},{v:.17g}\n")
 
 
-def _run_weakform(cfg: RunConfig, outputs: _Outputs, workers: int) -> None:
+def _run_weakform(cfg: RunConfig, outputs: _Outputs) -> None:
     g_cfg = cfg.data["grid"]
     sec = cfg.data["weakform"]
     hs = [float(v) for v in sec["h_values"]]
     h_fine = hs[-1]
-    coeffs = _coefficient_set(cfg)
+    coeffs = _coefficient_set(cfg.data["coefficients"])
     _, r0 = _grid_curve(cfg)
     fine_grid = make_grid(g_cfg["t_max"], g_cfg["x_max"], h_fine)
     op = OperatorD(coeffs)
@@ -583,7 +578,7 @@ def _lemma_rectangles(g) -> tuple[RectRegion, RectRegion]:
     return unit, shifted
 
 
-def _run_lemmas(cfg: RunConfig, outputs: _Outputs, workers: int) -> None:
+def _run_lemmas(cfg: RunConfig, outputs: _Outputs) -> None:
     g, _ = _grid_curve(cfg)
     sec = cfg.data["lemmas"]
     unit, shifted = _lemma_rectangles(g)
@@ -610,21 +605,20 @@ def _run_lemmas(cfg: RunConfig, outputs: _Outputs, workers: int) -> None:
                     f.write(f"{label},{r.n},{k},{v:.17g}\n")
 
 
-def _run_yield(cfg: RunConfig, outputs: _Outputs, workers: int) -> None:
+def _run_yield(cfg: RunConfig, outputs: _Outputs) -> None:
     g, r0 = _grid_curve(cfg)
     spec = cfg.data["coefficients"]
     sc = YieldScenario(g, r0, coeff_from_spec(spec["a"]), coeff_from_spec(spec["c"]),
                        cfg.data["n_paths"], cfg.data["seed"])
-    sec = cfg.data["yield"]
-    result = simulate_yield(sc, t_slices=sec["t_slices"],
-                            keep_paths=sec["keep_paths"], workers=workers)
+    # yield.keep_paths is accepted but unused: no output reads the paths
+    result = simulate_yield(sc, t_slices=cfg.data["yield"]["t_slices"])
     write_slices_csv(result, outputs.path("yield_slices.csv"))
     result.mean.to_csv(outputs.path("yield_mean.csv"))
     result.variance.to_csv(outputs.path("yield_variance.csv"))
     transport_solution(g, r0).to_csv(outputs.path("baseline.csv"))
 
 
-def _run_compare(cfg: RunConfig, outputs: _Outputs, workers: int) -> None:
+def _run_compare(cfg: RunConfig, outputs: _Outputs) -> None:
     g, r0 = _grid_curve(cfg)
     spec = cfg.data["coefficients"]
     sec = cfg.data["compare"]
@@ -656,7 +650,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="override output directory")
         p.add_argument("--paths", type=int, default=None, help="override n_paths")
         p.add_argument("--h", type=float, default=None, help="override grid step")
-        p.add_argument("--workers", type=int, default=1, help="worker pool size")
+        p.add_argument("--workers", type=int, default=1,
+                       help="accepted and range-checked, but has no effect: "
+                            "every command runs on one thread")
     return parser
 
 
@@ -683,7 +679,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalCriterionError, ExistenceCriterionError) as exc:
+    except NumericalCriterionError as exc:
         print(f"criterion violation: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

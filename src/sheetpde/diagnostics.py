@@ -595,11 +595,16 @@ def equal_slab_partition(base: RectRegion, n: int, grid: GridSpec) -> PartitionS
     return PartitionScheme(base, n, cells)
 
 
-def _corner_indices(grid: GridSpec, cells: Sequence[RectRegion]
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Lattice corner indices (i_lo, i_hi, j_lo, j_hi) of each cell, as arrays."""
-    corners = np.array([c.corner_indices(grid) for c in cells], dtype=np.intp)
-    return tuple(corners.reshape(-1, 4).T)
+def _slab_corners(grid: GridSpec, base: RectRegion, n: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Lattice corner indices (i_lo, i_hi, j_lo, j_hi) of the n cells of
+    ``equal_slab_partition(base, n, grid)``, as arrays, from the corners
+    of the base: slab k spans columns j0 + k*stride to j0 + (k+1)*stride."""
+    i0, i1, j0, j1 = base.corner_indices(grid)
+    stride = (j1 - j0) // n
+    j_lo = j0 + stride * np.arange(n, dtype=np.intp)
+    return (np.full(n, i0, dtype=np.intp), np.full(n, i1, dtype=np.intp),
+            j_lo, j_lo + stride)
 
 
 def _rect_measures(B: np.ndarray, corners) -> np.ndarray:
@@ -736,7 +741,7 @@ def partition_product_plan(grid: GridSpec, R: Callable, S: Callable, F: RectRegi
             mid_f, mid_g = midpoints(pf.cells), midpoints(pg.cells)
         rk_sk = (np.asarray(R(*mid_f), dtype=np.float64)
                  * np.asarray(S(*mid_g), dtype=np.float64))
-        corner_sets += [_corner_indices(grid, pf.cells), _corner_indices(grid, pg.cells)]
+        corner_sets += [_slab_corners(grid, F, n), _slab_corners(grid, G, n)]
         weights.append(np.broadcast_to(rk_sk, (n,)))
 
     def reduce(measures: Sequence[np.ndarray]) -> list[PartitionProductRow]:
@@ -795,7 +800,7 @@ def partition_sup_plan(grid: GridSpec, base: RectRegion, n_values: Sequence[int]
                                         samples=tuple(float(v) for v in sups)))
         return rows
 
-    return PartitionPlan(tuple(_corner_indices(grid, sc.cells) for sc in schemes),
+    return PartitionPlan(tuple(_slab_corners(grid, base, n) for n in n_values),
                          n_seeds, reduce)
 
 

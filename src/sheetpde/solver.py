@@ -48,6 +48,7 @@ from .sheet import DiagonalPath
 __all__ = [
     "ExistenceCriterionError",
     "NumericalCriterionError",
+    "require_criterion",
     "require_finite",
     "InitialCurve",
     "flat_curve",
@@ -67,13 +68,13 @@ __all__ = [
 _B_TOL = 1e-12
 
 
-class ExistenceCriterionError(ValueError):
-    """Raised when coefficients violate the function-solution criterion a = -b."""
-
-
 class NumericalCriterionError(ValueError):
     """A numerical criterion failed (exit code 3): a config breaks the
     existence criterion, or a computed result is not finite."""
+
+
+class ExistenceCriterionError(NumericalCriterionError):
+    """Raised when coefficients violate the function-solution criterion a = -b."""
 
 
 def require_finite(label: str, values) -> None:
@@ -281,7 +282,11 @@ def solve_b_zero(coeffs: CoefficientSet, U0: Callable, W: ScalarField) -> Soluti
 # ---------------------------------------------------------------------------
 
 
-def _require_criterion(coeffs: CoefficientSet, grid: GridSpec) -> None:
+def require_criterion(coeffs: CoefficientSet, grid: GridSpec) -> None:
+    """ExistenceCriterionError unless sup |a + b| <= 1e-12 on the sheet
+    lattice (``grid.t_values`` by ``grid.sheet_x_values``): the one check
+    of the criterion a = -b, made by the solvers and by config validation.
+    """
     report = existence_check(coeffs, grid, tol=_B_TOL, x_values=grid.sheet_x_values)
     if not report.exists:
         t, x = report.location
@@ -327,7 +332,7 @@ class TransportPlan:
               r0: InitialCurve) -> "TransportPlan":
         """Check the criterion a = -b and that r0 is finite, then sample the
         coefficients and r0 on the lattice."""
-        _require_criterion(coeffs, grid)
+        require_criterion(coeffs, grid)
         r0_diag = _initial_values_on_diagonals(r0, grid)
         # a copy: the coefficient may return an array its caller still owns
         a = np.array(coeffs.eval("a", grid.t_values[:, None], grid.x_values[None, :]))
@@ -408,7 +413,7 @@ def solve_ito_form(coeffs: CoefficientSet, r0: InitialCurve,
     rate O(h) in general.
     """
     g = path.grid
-    _require_criterion(coeffs, g)
+    require_criterion(coeffs, g)
     r0_diag = _initial_values_on_diagonals(r0, g)
 
     T_arg, X_arg = _characteristic_args(g)

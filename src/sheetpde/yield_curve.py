@@ -12,7 +12,6 @@ decorrelates maturities.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -96,63 +95,40 @@ class EnsembleResult:
 BATCH_BYTES = 128 * 1024
 
 
-class _BatchSolver:
-    """Samples and solves consecutive paths of a scenario in batches,
-    in buffers allocated once."""
-
-    def __init__(self, sc: YieldScenario, plan: TransportPlan, size: int):
-        g = sc.grid
-        self.sc, self.plan = sc, plan
-        self.cells = np.empty((size, g.n_t, g.n_sheet_x))
-        self.sheets = np.empty((size, g.n_t + 1, g.n_sheet_x + 1))
-        self.values = np.empty((size, g.n_t + 1, g.n_x + 1))
-
-    def __call__(self, start: int) -> np.ndarray:
-        """Solution values (batch, n_t+1, n_x+1) of the paths from ``start`` on."""
-        n = min(len(self.cells), self.sc.n_paths - start)
-        sample_sheet_batch(self.sc.grid, self.sc.seed, start, self.cells[:n],
-                           self.sheets[:n])
-        return self.plan.solve(self.sheets[:n], out=self.values[:n])
-
-
 def _paths_per_batch(grid: GridSpec, n_paths: int) -> int:
     sheet_bytes = 8 * (grid.n_t + 1) * (grid.n_sheet_x + 1)
     return max(1, min(n_paths, BATCH_BYTES // sheet_bytes))
 
 
-def _solved_batches(sc: YieldScenario, workers: int = 1):
+def _solved_batches(sc: YieldScenario):
     """Yield (start, values) over the scenario's paths in path-index order.
 
     The plan is built, and the criterion checked, before any stream is
-    created. With several workers each thread solves whole batches in
-    its own buffers; a batch's values are valid until the next yield.
+    created. Every batch is sampled and solved in the same buffers,
+    allocated once, so a batch's values are valid until the next yield.
     """
-    plan = TransportPlan.build(sc.grid, sc.coefficient_set(), sc.r0)
-    size = _paths_per_batch(sc.grid, sc.n_paths)
-    starts = range(0, sc.n_paths, size)
-    if workers <= 1:
-        solve = _BatchSolver(sc, plan, size)
-        for start in starts:
-            yield start, solve(start)
-        return
-    solvers = [_BatchSolver(sc, plan, size) for _ in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for first in range(0, len(starts), workers):
-            group = starts[first:first + workers]
-            yield from zip(group, pool.map(lambda solve, start: solve(start),
-                                           solvers, group))
+    g = sc.grid
+    plan = TransportPlan.build(g, sc.coefficient_set(), sc.r0)
+    size = _paths_per_batch(g, sc.n_paths)
+    cells = np.empty((size, g.n_t, g.n_sheet_x))
+    sheets = np.empty((size, g.n_t + 1, g.n_sheet_x + 1))
+    values = np.empty((size, g.n_t + 1, g.n_x + 1))
+    for start in range(0, sc.n_paths, size):
+        n = min(size, sc.n_paths - start)
+        sample_sheet_batch(g, sc.seed, start, cells[:n], sheets[:n])
+        yield start, plan.solve(sheets[:n], out=values[:n])
 
 
 def simulate_yield(sc: YieldScenario, t_slices: Sequence[float] = (),
-                   keep_paths: bool = False, workers: int = 1) -> EnsembleResult:
+                   keep_paths: bool = False) -> EnsembleResult:
     """Run the scenario: per-path derived streams, fixed-order aggregation.
 
     Paths are sampled and solved in batches of ``BATCH_BYTES`` of sheets
-    through one ``TransportPlan``; with several workers, each solves
-    whole batches. The ensemble mean/variance are accumulated one path at
-    a time in path-index order, so the result is bit-identical for any
-    worker count and batch size. Raises NumericalCriterionError when the
-    mean or the variance is not finite.
+    through one ``TransportPlan``. The ensemble mean/variance are
+    accumulated one path at a time in path-index order, so the result is
+    bit-identical for any batch size. ``keep_paths`` copies every path
+    into the result. Raises NumericalCriterionError when the mean or the
+    variance is not finite.
     """
     g = sc.grid
     slice_idx = {float(t): g.index_of(t, "t") for t in t_slices}
@@ -162,7 +138,7 @@ def simulate_yield(sc: YieldScenario, t_slices: Sequence[float] = (),
     slice_rows = {t: np.empty((sc.n_paths, g.n_x + 1)) for t in slice_idx}
     kept = []
 
-    for start, batch in _solved_batches(sc, workers):
+    for start, batch in _solved_batches(sc):
         for t, i in slice_idx.items():
             slice_rows[t][start:start + len(batch)] = batch[:, i]
         for b, values in enumerate(batch):

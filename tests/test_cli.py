@@ -1,5 +1,6 @@
 import json
 import os
+import threading
 import time
 
 import pytest
@@ -10,6 +11,7 @@ from sheetpde import sheet as sheet_mod
 from sheetpde.cli import (ConfigError, NumericalCriterionError, main,
                           parse_config, run)
 from sheetpde.rng import stream_for_path
+from sheetpde.solver import ExistenceCriterionError, TransportPlan
 from sheetpde.yield_curve import negate
 
 QV_CFG = {
@@ -94,6 +96,22 @@ class TestParseConfig:
         }
         with pytest.raises(NumericalCriterionError, match="if and only if"):
             parse_config(cfg_text(bad))
+
+    def test_explicit_b_is_checked_by_the_solvers_check(self):
+        # sup |a + b| = 1e-10: inside a 1e-9 tolerance, outside the solvers' 1e-12
+        near = {
+            "command": "yield",
+            "grid": {"t_max": 1.0, "x_max": 1.0, "h": 0.25},
+            "coefficients": {"a": {"kind": "const", "value": 1.0},
+                             "b": {"kind": "const", "value": -1.0 + 1e-10}},
+        }
+        with pytest.raises(ExistenceCriterionError) as from_config:
+            parse_config(cfg_text(near))
+        coeffs = sp.CoefficientSet(a=sp.const(1.0), b=sp.const(-1.0 + 1e-10),
+                                   c=sp.const(0.0))
+        with pytest.raises(ExistenceCriterionError) as from_plan:
+            TransportPlan.build(sp.make_grid(1.0, 1.0, 0.25), coeffs, sp.flat_curve(0.0))
+        assert str(from_config.value) == str(from_plan.value)
 
     def test_yield_with_consistent_b_accepted(self):
         good = {
@@ -417,7 +435,12 @@ class TestRun:
         assert per_run[0] > 0
         assert per_run[0] == per_run[1]
 
-    def test_yield_worker_pool_is_deterministic(self, tmp_path):
+    def test_yield_worker_pool_is_deterministic(self, tmp_path, monkeypatch):
+        # --workers is accepted but runs nothing in parallel
+        def no_threads(self):
+            raise AssertionError("a run must start no thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
         base = {
             "command": "yield",
             "grid": {"t_max": 1.0, "x_max": 1.0, "h": 0.25},
@@ -426,18 +449,18 @@ class TestRun:
             "yield": {"t_slices": [1.0], "keep_paths": False},
         }
         outs = {}
-        for label, workers in (("w1", 1), ("w4", 4)):
+        for label, workers in (("w1", 1), ("w2", 2)):
             cfg = parse_config(cfg_text(dict(base, out_dir=str(tmp_path / label))))
             run(cfg, workers=workers)
             outs[label] = {n: (tmp_path / label / n).read_bytes()
                            for n in ("yield_slices.csv", "yield_mean.csv",
                                      "yield_variance.csv")}
-        assert outs["w1"] == outs["w4"]
+        assert outs["w1"] == outs["w2"]
 
     def test_failure_removes_partial_outputs(self, tmp_path, monkeypatch):
         import sheetpde.cli as cli_mod
 
-        def boom(cfg, outputs, workers):
+        def boom(cfg, outputs):
             outputs.path("solution.csv").write_text("partial")
             raise OSError("disk full")
 
@@ -479,16 +502,25 @@ class TestMain:
         assert main(["qv", "--config", p]) == 2
 
     def test_exit_3_existence_violation(self, tmp_path):
-        bad = {
-            "command": "yield",
-            "grid": {"t_max": 1.0, "x_max": 1.0, "h": 0.25},
-            "coefficients": {"a": {"kind": "const", "value": 1.0},
-                             "b": {"kind": "const", "value": 0.5}},
-            "out_dir": str(tmp_path / "nope"),
-        }
-        p = self.write_cfg(tmp_path, bad)
-        assert main(["yield", "--config", p]) == 3
-        assert not (tmp_path / "nope").exists()
+        for b in (0.5, -1.0 + 1e-10):
+            bad = {
+                "command": "yield",
+                "grid": {"t_max": 1.0, "x_max": 1.0, "h": 0.25},
+                "coefficients": {"a": {"kind": "const", "value": 1.0},
+                                 "b": {"kind": "const", "value": b}},
+                "out_dir": str(tmp_path / "nope"),
+            }
+            p = self.write_cfg(tmp_path, bad)
+            assert main(["yield", "--config", p]) == 3
+            assert not (tmp_path / "nope").exists()
+
+    def test_exit_2_criterion_tolerance_is_not_configurable(self, tmp_path, capsys):
+        out = tmp_path / "tol"
+        p = self.write_cfg(tmp_path, dict(SIM_CFG, out_dir=str(out),
+                                          tolerances={"deterministic": 1e-9}))
+        assert main(["simulate", "--config", p]) == 2
+        assert "unknown key 'deterministic'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", [0, -1, (os.cpu_count() or 1) + 1])
     def test_exit_2_workers_out_of_range(self, tmp_path, monkeypatch, capsys, workers):

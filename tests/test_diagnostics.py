@@ -5,10 +5,12 @@ import pytest
 
 import sheetpde as sp
 from sheetpde import sheet as sheet_mod
-from sheetpde.diagnostics import (LineField, PartitionScheme, _corner_indices,
-                                  _rect_measures, equal_slab_partition,
-                                  partition_product_check, partition_sup_check,
+from sheetpde.diagnostics import (LineField, PartitionScheme, _rect_measures,
+                                  _slab_corners, equal_slab_partition,
+                                  partition_product_check, partition_product_plan,
+                                  partition_sup_check, partition_sup_plan,
                                   rect_measure_samples)
+from sheetpde.grids import GridSpec
 from sheetpde.rng import stream_for_path
 from sheetpde.sheet import RectRegion
 from sheetpde.yield_curve import negate
@@ -16,6 +18,13 @@ from sheetpde.yield_curve import negate
 
 def cs(a, b, c=None):
     return sp.CoefficientSet(a=a, b=b, c=c if c is not None else sp.const(0.0))
+
+
+def corner_indices(grid, cells):
+    """Lattice corner indices (i_lo, i_hi, j_lo, j_hi) of each cell, as
+    arrays: one lookup per corner."""
+    corners = np.array([c.corner_indices(grid) for c in cells], dtype=np.intp)
+    return tuple(corners.reshape(-1, 4).T)
 
 
 class TestExistenceCheck:
@@ -323,6 +332,38 @@ class TestPartitions:
         with pytest.raises(ValueError):
             PartitionScheme(base, 2, cells)
 
+    @pytest.mark.parametrize("base, n", [
+        (RectRegion(0.0, 1.0, 0.0, 1.0), 1), (RectRegion(0.0, 1.0, 0.0, 1.0), 16),
+        (RectRegion(0.0, 1.0, 1.0, 2.0), 8), (RectRegion(0.25, 0.75, 0.5, 1.5), 4),
+        (RectRegion(0.0, 1.0, 0.5, 0.5), 4)])
+    def test_slab_corners_equal_per_cell_lookups(self, base, n):
+        g = sp.make_grid(2.0, 1.0, 1 / 16)
+        got = _slab_corners(g, base, n)
+        want = corner_indices(g, equal_slab_partition(base, n, g).cells)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_plan_lookups_do_not_grow_with_partition_size(self, monkeypatch):
+        g = sp.make_grid(1.0, 1.0, 1 / 256)
+        lookups = []
+        index_of = GridSpec.index_of
+
+        def counting(self, coord, axis="t"):
+            lookups.append(axis)
+            return index_of(self, coord, axis)
+
+        monkeypatch.setattr(GridSpec, "index_of", counting)
+        unit, shifted = RectRegion(0.0, 1.0, 0.0, 1.0), RectRegion(0.0, 1.0, 1.0, 2.0)
+        one = sp.const(1.0)
+        per_n = []
+        for n in (4, 256):
+            lookups.clear()
+            partition_product_plan(g, one, one, unit, unit, [n], "diagonal", 2)
+            partition_product_plan(g, one, one, unit, shifted, [n], "disjoint", 2)
+            partition_sup_plan(g, unit, [n])
+            per_n.append(len(lookups))
+        assert per_n[0] == per_n[1]
+
 
 @pytest.fixture(scope="module")
 def lemma_grid_sheet():
@@ -431,10 +472,10 @@ class TestRectMeasureSamples:
     def corner_sets(g):
         unit = RectRegion(0.0, 1.0, 0.0, 1.0)
         inner = RectRegion(0.25, 0.75, 0.5, 1.5)
-        return [_corner_indices(g, equal_slab_partition(unit, 4, g).cells),
-                _corner_indices(g, equal_slab_partition(inner, 16, g).cells),
-                _corner_indices(g, [RectRegion(0.5, 0.5, 0.0, 3.0),
-                                    RectRegion(0.0, 1.5, 0.0, 3.0)])]
+        return [corner_indices(g, equal_slab_partition(unit, 4, g).cells),
+                corner_indices(g, equal_slab_partition(inner, 16, g).cells),
+                corner_indices(g, [RectRegion(0.5, 0.5, 0.0, 3.0),
+                                   RectRegion(0.0, 1.5, 0.0, 3.0)])]
 
     def test_matches_full_sheets_bit_for_bit(self):
         # t_max = 2: no corner lies on the last sheet row, so fewer rows are drawn
