@@ -15,9 +15,10 @@ from .calculus import SmoothFunction, central_diff, integrate_2d, integrate_time
 from .coefficients import (CoeffFn, CoefficientSet, const, coord_sum, coord_t,
                            coord_x, polynomial)
 from .bumps import TestFunction, bump_eval, interior_bump, standard_bump_battery
-from .rng import stream_for_path
-from .sheet import (DiagonalPath, RectRegion, SheetSample, diagonal_noise, draw_cells,
-                    rect_measure, restrict_sheet, sample_sheet, sample_sheet_batch)
+from .rng import philox_keys, stream_for_path
+from .sheet import (DiagonalPath, RectRegion, SheetSample, SheetSource, diagonal_noise,
+                    draw_cells, rect_measure, restrict_sheet, sample_sheet,
+                    sample_sheet_batch)
 from .operators import (OperatorD, WeakFormPlan, adjoint_identity_residual,
                         apply_D, apply_adjoint, weak_residual_time_equation,
                         weak_residual_transport)

@@ -55,7 +55,7 @@ import numpy as np
 from . import _kernels
 from .coefficients import CoefficientSet
 from .grids import GridError, GridSpec, ScalarField
-from .sheet import RectRegion, SheetSample, draw_cells, sample_sheet
+from .sheet import RectRegion, SheetSample, SheetSource
 
 __all__ = [
     "ExistenceReport",
@@ -425,8 +425,11 @@ def qv_samples(coeffs: CoefficientSet, grid: GridSpec, t: float, x_lo: float,
     values = {(est, n): np.empty(n_seeds) for est in QV_ESTIMATORS for n in n_values}
     holder = ({est: np.empty(n_seeds) for est in ("diagonal", "characteristic")}
               if levels else {})
+    source = SheetSource(grid, seed, n_seeds)
+    cells = np.empty((1, grid.n_t, grid.n_sheet_x))
+    sheet = np.empty((1, grid.n_t + 1, grid.n_sheet_x + 1))
     for k in range(n_seeds):
-        S = sample_sheet(grid, seed, path_index=k).values
+        S = source.sample_batch(k, cells, sheet)[0]
         Y = _diagonal_product(A_diag, S)
         fields = {
             "diagonal": (LineField(x, _time_integral(Y, grid.h)), x_lo, x_hi),
@@ -632,8 +635,9 @@ def rect_measure_samples(grid: GridSpec, seed: int, corner_sets: Sequence,
     cells = np.empty((1, rows[-1], grid.n_sheet_x))
     B = np.empty((1, rows.size, grid.n_sheet_x + 1))
     measures = np.empty((n_seeds, i0.size))
+    source = SheetSource(grid, seed, n_seeds)
     for k in range(n_seeds):
-        draw_cells(grid, seed, k, cells)
+        source.draw_cells(k, cells)
         _kernels.prefix_sum_rows(cells, rows, out=B)
         measures[k] = _rect_measures(B[0], corners)
     ends = np.cumsum([c[0].size for c in corner_sets])

@@ -20,12 +20,13 @@ import numpy as np
 
 from . import _kernels
 from .grids import GridError, GridSpec, ScalarField, lattice_to_csv
-from .rng import stream_for_path
+from .rng import philox_keys
 
 __all__ = [
     "SheetSample",
     "RectRegion",
     "DiagonalPath",
+    "SheetSource",
     "draw_cells",
     "sample_sheet",
     "sample_sheet_batch",
@@ -124,46 +125,105 @@ class DiagonalPath:
         lattice_to_csv(path, self.grid.t_values, self.grid.x_values, self.values)
 
 
-def draw_cells(grid: GridSpec, seed: int, start: int, cells: np.ndarray) -> np.ndarray:
-    """Draw the N(0, h^2) cell masses of paths start, start+1, ... into ``cells``.
+class SheetSource:
+    """The cells and sheets of paths 0..n_paths-1 of one seed, on one grid.
 
-    ``cells`` has shape (batch, rows, n_sheet_x) with rows <= n_t, and
-    ``cells[b]`` receives the first ``rows`` time rows of path ``start + b``,
-    drawn from that path's own stream. A stream fills the rows in order,
-    so the first rows of a path do not depend on how many are drawn.
-    Returns ``cells``.
+    Path k draws from its own stream, ``rng.stream_for_path(seed, k)``, bit
+    for bit, through one reused Philox generator: a Philox stream is fixed
+    by its key, so each path resets the generator to counter 0 under its
+    key. The keys are derived in bulk (``rng.philox_keys``), ``KEY_CHUNK``
+    paths at a time from the first path not yet keyed, so the paths can be
+    drawn in any order and a source of few paths derives few keys.
     """
-    if cells.ndim != 3 or cells.shape[1] > grid.n_t or cells.shape[2] != grid.n_sheet_x:
-        raise GridError("cell buffer does not match the extended lattice")
-    for b in range(cells.shape[0]):
-        stream_for_path(seed, start + b).standard_normal(out=cells[b])
-    cells *= grid.h
-    return cells
+
+    KEY_CHUNK = 4096
+
+    def __init__(self, grid: GridSpec, seed: int, n_paths: int):
+        self.grid, self.seed, self.n_paths = grid, int(seed), int(n_paths)
+        self._bitgen = np.random.Philox(0)
+        self._gen = np.random.Generator(self._bitgen)
+        self._state = {"bit_generator": "Philox",
+                       "state": {"counter": np.zeros(4, np.uint64), "key": None},
+                       "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+                       "has_uint32": 0, "uinteger": 0}
+        self._first = 0
+        self._keys = np.empty((0, 2), np.uint64)
+
+    def normals(self, k: int, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` (C order) with the first ``out.size`` standard
+        normals of path k's stream. Returns ``out``."""
+        i = k - self._first
+        if not 0 <= i < len(self._keys):
+            if not 0 <= k < self.n_paths:
+                raise IndexError(f"path {k} outside 0..{self.n_paths - 1}")
+            self._first, i = k, 0
+            self._keys = philox_keys(self.seed, np.arange(
+                k, min(k + self.KEY_CHUNK, self.n_paths), dtype=np.uint64))
+        self._state["state"]["key"] = self._keys[i]
+        self._bitgen.state = self._state
+        return self._gen.standard_normal(out=out)
+
+    def draw_cells(self, start: int, cells: np.ndarray,
+                   head: np.ndarray | None = None) -> np.ndarray:
+        """Draw the N(0, h^2) cell masses of paths start, start+1, ... into ``cells``.
+
+        ``cells`` has shape (batch, rows, n_sheet_x) with rows <= n_t, and
+        ``cells[b]`` receives the first ``rows`` time rows of path
+        ``start + b``. A stream fills the rows in order, so the first rows
+        of a path do not depend on how many are drawn. ``head``, of shape
+        (batch, m) with m <= n_sheet_x, receives the first m standard
+        normals of each path, before they are scaled by h. Returns ``cells``.
+        """
+        g = self.grid
+        if cells.ndim != 3 or cells.shape[1] > g.n_t or cells.shape[2] != g.n_sheet_x:
+            raise GridError("cell buffer does not match the extended lattice")
+        for b in range(cells.shape[0]):
+            self.normals(start + b, cells[b])
+        if head is not None:
+            head[...] = cells[:, 0, :head.shape[1]]
+        cells *= g.h
+        return cells
+
+    def sample_batch(self, start: int, cells: np.ndarray, values: np.ndarray,
+                     head: np.ndarray | None = None) -> np.ndarray:
+        """Sample paths start, start+1, ... into preallocated buffers.
+
+        ``cells`` has shape (batch, n_t, n_sheet_x) and receives the cell
+        masses of path ``start + b`` in ``cells[b]`` (``draw_cells``, which
+        also fills ``head``); ``values`` has shape (batch, n_t+1,
+        n_sheet_x+1) and receives the sheets. Returns ``values``.
+        """
+        g = self.grid
+        if (cells.shape[1:] != (g.n_t, g.n_sheet_x)
+                or values.shape != (cells.shape[0], g.n_t + 1, g.n_sheet_x + 1)):
+            raise GridError("sheet buffers do not match the extended lattice")
+        self.draw_cells(start, cells, head)
+        return _kernels.prefix_sum_2d(cells, out=values)
+
+    def sample(self, k: int) -> SheetSample:
+        """The sheet of path k, with its own buffers."""
+        g = self.grid
+        cells = np.empty((1, g.n_t, g.n_sheet_x))
+        values = np.empty((1, g.n_t + 1, g.n_sheet_x + 1))
+        self.sample_batch(k, cells, values)
+        return SheetSample(g, values[0], cells[0], self.seed)
+
+
+def draw_cells(grid: GridSpec, seed: int, start: int, cells: np.ndarray) -> np.ndarray:
+    """``SheetSource.draw_cells`` for paths start..start+batch-1 of ``seed``."""
+    return SheetSource(grid, seed, start + len(cells)).draw_cells(start, cells)
 
 
 def sample_sheet_batch(grid: GridSpec, seed: int, start: int, cells: np.ndarray,
                        values: np.ndarray) -> np.ndarray:
-    """Sample paths start, start+1, ... into preallocated buffers.
-
-    ``cells`` has shape (batch, n_t, n_sheet_x) and receives the cell
-    masses of path ``start + b`` in ``cells[b]`` (``draw_cells``);
-    ``values`` has shape (batch, n_t+1, n_sheet_x+1) and receives the
-    sheets. Every path is bit-identical to ``sample_sheet(grid, seed,
-    start + b)``. Returns ``values``.
-    """
-    if (cells.shape[1:] != (grid.n_t, grid.n_sheet_x)
-            or values.shape != (cells.shape[0], grid.n_t + 1, grid.n_sheet_x + 1)):
-        raise GridError("sheet buffers do not match the extended lattice")
-    draw_cells(grid, seed, start, cells)
-    return _kernels.prefix_sum_2d(cells, out=values)
+    """``SheetSource.sample_batch`` for paths start..start+batch-1 of ``seed``;
+    path ``start + b`` is bit-identical to ``sample_sheet(grid, seed, start + b)``."""
+    return SheetSource(grid, seed, start + len(cells)).sample_batch(start, cells, values)
 
 
 def sample_sheet(grid: GridSpec, seed: int, path_index: int = 0) -> SheetSample:
     """Sample one sheet; identical (grid, seed, path_index) is bit-identical."""
-    cells = np.empty((1, grid.n_t, grid.n_sheet_x))
-    values = np.empty((1, grid.n_t + 1, grid.n_sheet_x + 1))
-    sample_sheet_batch(grid, seed, path_index, cells, values)
-    return SheetSample(grid, values[0], cells[0], seed)
+    return SheetSource(grid, seed, path_index + 1).sample(path_index)
 
 
 def rect_measure(sheet: SheetSample, r: RectRegion) -> float:

@@ -19,8 +19,7 @@ import numpy as np
 
 from .coefficients import CoeffFn, CoefficientSet
 from .grids import GridSpec, ScalarField
-from .rng import stream_for_path
-from .sheet import DiagonalPath, sample_sheet_batch
+from .sheet import DiagonalPath, SheetSource
 from .solver import (InitialCurve, Provenance, SolutionField, TransportPlan,
                      require_finite, transport_solution)
 
@@ -90,8 +89,12 @@ class EnsembleResult:
 
 # Bytes of one batch of sheets: paths are sampled and solved this many
 # bytes of sheet values at a time (19 paths at h = 0.05 on [0,1]^2, one
-# path for sheets of 128 KiB or more). Larger batches run no faster,
-# since stream set-up and the normal draws dominate, and take more memory.
+# path for sheets of 128 KiB or more). The per-path normal draws dominate
+# (about 21 us of the 25 us a path spends in the sheet source at h = 0.05;
+# the key reset is the rest), so the batch size moves little: on the
+# benchmark's yield-paths config (2000 paths, 2-core machine, median CPU
+# time of 9 alternating runs) 64, 128 and 256 KiB took 0.127, 0.118 and
+# 0.114 s, with quartile ranges that overlap between 128 and 256 KiB.
 BATCH_BYTES = 128 * 1024
 
 
@@ -100,23 +103,27 @@ def _paths_per_batch(grid: GridSpec, n_paths: int) -> int:
     return max(1, min(n_paths, BATCH_BYTES // sheet_bytes))
 
 
-def _solved_batches(sc: YieldScenario):
-    """Yield (start, values) over the scenario's paths in path-index order.
+def _solved_batches(sc: YieldScenario, head_size: int = 0):
+    """Yield (start, values, head) over the scenario's paths in path-index order.
 
-    The plan is built, and the criterion checked, before any stream is
-    created. Every batch is sampled and solved in the same buffers,
-    allocated once, so a batch's values are valid until the next yield.
+    The plan is built, and the criterion checked, before any path is
+    keyed. Every batch is sampled from one ``SheetSource`` and solved in
+    the same buffers, allocated once, so a batch's arrays are valid until
+    the next yield. ``head`` holds the first ``head_size`` raw standard
+    normals of each path of the batch (``SheetSource.draw_cells``).
     """
     g = sc.grid
     plan = TransportPlan.build(g, sc.coefficient_set(), sc.r0)
+    source = SheetSource(g, sc.seed, sc.n_paths)
     size = _paths_per_batch(g, sc.n_paths)
     cells = np.empty((size, g.n_t, g.n_sheet_x))
     sheets = np.empty((size, g.n_t + 1, g.n_sheet_x + 1))
     values = np.empty((size, g.n_t + 1, g.n_x + 1))
+    head = np.empty((size, head_size))
     for start in range(0, sc.n_paths, size):
         n = min(size, sc.n_paths - start)
-        sample_sheet_batch(g, sc.seed, start, cells[:n], sheets[:n])
-        yield start, plan.solve(sheets[:n], out=values[:n])
+        source.sample_batch(start, cells[:n], sheets[:n], head[:n] if head_size else None)
+        yield start, plan.solve(sheets[:n], out=values[:n]), head[:n]
 
 
 def simulate_yield(sc: YieldScenario, t_slices: Sequence[float] = (),
@@ -138,7 +145,7 @@ def simulate_yield(sc: YieldScenario, t_slices: Sequence[float] = (),
     slice_rows = {t: np.empty((sc.n_paths, g.n_x + 1)) for t in slice_idx}
     kept = []
 
-    for start, batch in _solved_batches(sc):
+    for start, batch, _ in _solved_batches(sc):
         for t, i in slice_idx.items():
             slice_rows[t][start:start + len(batch)] = batch[:, i]
         for b, values in enumerate(batch):
@@ -185,25 +192,47 @@ def drift_decomposition_residual(path: SolutionField, noise: DiagonalPath,
     return float(np.max(np.abs(resid)))
 
 
+class _SingleDriverModel:
+    """dr(t,x) = alpha dt + sigma dW(t) on a grid, with alpha and sigma
+    evaluated once; ``values`` runs the Euler-Maruyama scheme on a stack
+    of driver paths."""
+
+    def __init__(self, alpha: Callable, sigma: Callable, r0: InitialCurve,
+                 grid: GridSpec):
+        tt = grid.t_values[:-1][:, None]
+        xx = grid.x_values[None, :]
+        shape = (grid.n_t, grid.n_x + 1)
+        self.grid = grid
+        self.drift = np.broadcast_to(np.asarray(alpha(tt, xx), dtype=np.float64),
+                                     shape) * grid.h
+        self.sigma = np.broadcast_to(np.asarray(sigma(tt, xx), dtype=np.float64), shape)
+        self.r0 = r0.eval(grid.x_values)
+
+    def values(self, normals: np.ndarray) -> np.ndarray:
+        """Paths for standard normals of shape (batch, n_t): the driver
+        increments are sqrt(h) times them. Returns (batch, n_t+1, n_x+1)."""
+        g = self.grid
+        dW = normals * np.sqrt(g.h)
+        steps = self.drift + self.sigma * dW[:, :, None]
+        values = np.empty((len(dW), g.n_t + 1, g.n_x + 1))
+        values[:, 0] = self.r0
+        np.cumsum(steps, axis=1, out=values[:, 1:])
+        values[:, 1:] += values[:, :1]
+        return values
+
+
 def ms_simulate(alpha: Callable, sigma: Callable, r0: InitialCurve, grid: GridSpec,
                 seed: int, path_index: int = 0) -> SolutionField:
     """Euler-Maruyama for dr(t,x) = alpha dt + sigma dW(t), one shared driver.
 
-    A single standard Wiener path (per simulation path, derived from the
-    seed) drives every maturity.
+    A single standard Wiener path drives every maturity. Its increments
+    are sqrt(h) times the first n_t normals of path ``path_index`` of
+    ``seed``: the first n_t cells of that path's sheet, before scaling,
+    so the sheet-driven model of the same path shares these numbers.
     """
-    rng = stream_for_path(seed, path_index)
-    dW = rng.standard_normal(grid.n_t) * np.sqrt(grid.h)
-    tt = grid.t_values[:-1][:, None]
-    xx = grid.x_values[None, :]
-    shape = (grid.n_t, grid.n_x + 1)
-    A = np.broadcast_to(np.asarray(alpha(tt, xx), dtype=np.float64), shape)
-    S = np.broadcast_to(np.asarray(sigma(tt, xx), dtype=np.float64), shape)
-    steps = A * grid.h + S * dW[:, None]
-    values = np.empty((grid.n_t + 1, grid.n_x + 1))
-    values[0] = r0.eval(grid.x_values)
-    np.cumsum(steps, axis=0, out=values[1:])
-    values[1:] += values[0][None, :]
+    normals = SheetSource(grid, seed, path_index + 1).normals(
+        path_index, np.empty((1, grid.n_t)))
+    values = _SingleDriverModel(alpha, sigma, r0, grid).values(normals)[0]
     return SolutionField(grid, values, Provenance("ms", seed=seed,
                                                   details=f"path={path_index}"))
 
@@ -222,6 +251,15 @@ def sheet_increment_covariance(t: float, h: float, x1: float, x2: float) -> floa
 
 @dataclass(frozen=True)
 class CompareReport:
+    """Cross-maturity increment correlations of the two models.
+
+    The models of path k share random numbers: the single-driver model's
+    driver is the first n_t normals of the sheet model's cells. Each
+    model's own correlations are unbiased, but a statistic that compares
+    the two is not built from independent draws; giving the single-driver
+    model its own stream would change the stream contract.
+    """
+
     t_slices: tuple[float, ...]
     maturities: tuple[float, ...]
     corr_spde: dict
@@ -249,6 +287,7 @@ def compare_models(sc: YieldScenario, ms_alpha: Callable, ms_sigma: Callable,
     model yields correlation identically 1 (deterministic sigma). A
     theoretical correlation matrix for the raw noise increments is
     reported alongside (it is the model correlation for constant vol).
+    Both models of path k read path k's one stream (``CompareReport``).
     """
     g = sc.grid
     if maturities is None:
@@ -263,14 +302,13 @@ def compare_models(sc: YieldScenario, ms_alpha: Callable, ms_sigma: Callable,
     n, n_m = sc.n_paths, len(maturities)
     inc_spde = {t: np.empty((n, n_m)) for t in slice_idx}
     inc_ms = {t: np.empty((n, n_m)) for t in slice_idx}
-    for start, batch in _solved_batches(sc):
+    ms = _SingleDriverModel(ms_alpha, ms_sigma, sc.r0, g)
+    for start, batch, normals in _solved_batches(sc, g.n_t):
+        m = ms.values(normals)
         for t, i in slice_idx.items():
             inc_spde[t][start:start + len(batch)] = (batch[:, i + 1, j_idx]
                                                      - batch[:, i, j_idx])
-    for k in range(n):
-        m = ms_simulate(ms_alpha, ms_sigma, sc.r0, g, sc.seed, path_index=k).values
-        for t, i in slice_idx.items():
-            inc_ms[t][k] = m[i + 1, j_idx] - m[i, j_idx]
+            inc_ms[t][start:start + len(batch)] = m[:, i + 1, j_idx] - m[:, i, j_idx]
 
     def corr_or_none(rows: np.ndarray):
         if np.any(np.std(rows, axis=0) == 0.0):

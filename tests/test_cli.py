@@ -10,7 +10,6 @@ from sheetpde import _kernels
 from sheetpde import sheet as sheet_mod
 from sheetpde.cli import (ConfigError, NumericalCriterionError, main,
                           parse_config, run)
-from sheetpde.rng import stream_for_path
 from sheetpde.solver import ExistenceCriterionError, TransportPlan
 from sheetpde.yield_curve import negate
 
@@ -242,12 +241,13 @@ class TestLemmasShareOnePass:
     @pytest.mark.parametrize("name", ["sup-seeds-exceed-product", "t-max-2"])
     def test_one_stream_per_path(self, name, tmp_path, monkeypatch):
         paths = []
+        draw = sheet_mod.SheetSource.normals
 
-        def counting(seed, path_index=0):
-            paths.append(path_index)
-            return stream_for_path(seed, path_index)
+        def counting(source, k, out):
+            paths.append(k)
+            return draw(source, k, out)
 
-        monkeypatch.setattr(sheet_mod, "stream_for_path", counting)
+        monkeypatch.setattr(sheet_mod.SheetSource, "normals", counting)
         cfg = lemma_cfg(name, tmp_path / "o")
         run(cfg)
         sec = cfg.data["lemmas"]

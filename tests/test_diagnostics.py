@@ -11,7 +11,6 @@ from sheetpde.diagnostics import (LineField, PartitionScheme, _rect_measures,
                                   partition_sup_check, partition_sup_plan,
                                   rect_measure_samples)
 from sheetpde.grids import GridSpec
-from sheetpde.rng import stream_for_path
 from sheetpde.sheet import RectRegion
 from sheetpde.yield_curve import negate
 
@@ -491,11 +490,12 @@ class TestRectMeasureSamples:
     def test_each_path_is_drawn_once(self, monkeypatch):
         g = sp.make_grid(2.0, 1.0, 1 / 16)
         paths = []
+        draw = sheet_mod.SheetSource.normals
 
-        def counting(seed, path_index=0):
-            paths.append(path_index)
-            return stream_for_path(seed, path_index)
+        def counting(source, k, out):
+            paths.append(k)
+            return draw(source, k, out)
 
-        monkeypatch.setattr(sheet_mod, "stream_for_path", counting)
+        monkeypatch.setattr(sheet_mod.SheetSource, "normals", counting)
         rect_measure_samples(g, 31, self.corner_sets(g), 6)
         assert paths == list(range(6))

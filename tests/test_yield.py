@@ -4,6 +4,7 @@ import pytest
 import sheetpde as sp
 import sheetpde.sheet as sheet_mod
 import sheetpde.yield_curve as yield_mod
+from sheetpde.rng import stream_for_path
 from sheetpde.solver import ExistenceCriterionError
 from sheetpde.yield_curve import (compare_models, drift_decomposition_residual,
                                   ms_simulate, sheet_increment_covariance,
@@ -162,9 +163,10 @@ class TestPathInvariantWorkRunsOnce:
                 return sp.CoefficientSet(a=self.vol, b=sp.const(0.5), c=self.carry)
 
         def no_stream(*args, **kwargs):
-            raise AssertionError("a random stream was created")
+            raise AssertionError("a path was keyed or drawn")
 
-        monkeypatch.setattr(sheet_mod, "stream_for_path", no_stream)
+        monkeypatch.setattr(sheet_mod, "philox_keys", no_stream)
+        monkeypatch.setattr(sheet_mod.SheetSource, "normals", no_stream)
         sc = Broken(unit_grid_h01, sp.flat_curve(0.05), sp.const(1.0), sp.const(0.0), 50, 1)
         with pytest.raises(ExistenceCriterionError, match="if and only if"):
             simulate_yield(sc)
@@ -217,7 +219,24 @@ class TestDriftDecomposition:
         assert m_coarse / m_fine >= 1.2
 
 
+def reference_ms(alpha, sigma, r0, g, seed, k):
+    """Euler-Maruyama on path k's own reference stream: r0 plus the running
+    sum of alpha h + sigma dW, one path at a time."""
+    dW = stream_for_path(seed, k).standard_normal(g.n_t) * np.sqrt(g.h)
+    tt, xx = g.t_values[:-1][:, None], g.x_values[None, :]
+    steps = alpha(tt, xx) * g.h + sigma(tt, xx) * dW[:, None]
+    r0_row = r0.eval(g.x_values)
+    return np.vstack([r0_row, np.cumsum(steps, axis=0) + r0_row])
+
+
 class TestMsSimulate:
+    def test_matches_the_reference_stream(self, unit_grid_h01):
+        r0 = sp.nelson_siegel_curve(0.05, -0.02, 0.01, 1.5)
+        for k in (0, 3):
+            r = ms_simulate(sp.coord_t(), sp.coord_sum(), r0, unit_grid_h01, 2**33, k)
+            ref = reference_ms(sp.coord_t(), sp.coord_sum(), r0, unit_grid_h01, 2**33, k)
+            assert np.array_equal(r.values, ref)
+
     def test_static_curve(self, unit_grid_h01):
         r0 = sp.polynomial_curve([0.05, 0.01])
         r = ms_simulate(sp.const(0.0), sp.const(0.0), r0, unit_grid_h01, 3)
@@ -281,6 +300,23 @@ class TestCompareModels:
                 inc[t].append(r[i + 1, js] - r[i, js])
         for t, rows in inc.items():
             assert np.array_equal(rep.corr_spde[t], np.corrcoef(np.array(rows), rowvar=False))
+
+    def test_ms_side_reads_the_sheet_streams(self):
+        # the single-driver model of path k reads the first n_t normals of
+        # path k's stream: one stream per path serves both models
+        g = sp.make_grid(1.0, 1.0, 0.1)
+        sc = scenario(g, sp.coord_t(), sp.const(0.2), 300, 17)
+        alpha, sigma = sp.const(0.01), sp.coord_sum()
+        rep = compare_models(sc, alpha, sigma, [0.3, 0.5])
+        js = [g.index_of(m, "x") for m in rep.maturities]
+        inc = {0.3: [], 0.5: []}
+        for k in range(sc.n_paths):
+            m = reference_ms(alpha, sigma, sc.r0, g, sc.seed, k)
+            for t in inc:
+                i = g.index_of(t, "t")
+                inc[t].append(m[i + 1, js] - m[i, js])
+        for t, rows in inc.items():
+            assert np.array_equal(rep.corr_ms[t], np.corrcoef(np.array(rows), rowvar=False))
 
     def test_degenerate_flagged(self):
         g = sp.make_grid(1.0, 1.0, 0.25)
