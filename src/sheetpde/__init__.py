@@ -11,14 +11,13 @@ yield curves.
 __version__ = "0.1.0"
 
 from .grids import GridError, GridSpec, ScalarField, make_grid
-from .calculus import SmoothFunction, central_diff, integrate_2d, integrate_time
+from .calculus import SmoothFunction, central_diff
 from .coefficients import (CoeffFn, CoefficientSet, const, coord_sum, coord_t,
                            coord_x, polynomial)
 from .bumps import TestFunction, bump_eval, interior_bump, standard_bump_battery
 from .rng import philox_keys, stream_for_path
 from .sheet import (DiagonalPath, RectRegion, SheetSample, SheetSource, diagonal_noise,
-                    draw_cells, rect_measure, restrict_sheet, sample_sheet,
-                    sample_sheet_batch)
+                    rect_measure, restrict_sheet, sample_sheet)
 from .operators import (OperatorD, WeakFormPlan, adjoint_identity_residual,
                         apply_D, apply_adjoint, weak_residual_time_equation,
                         weak_residual_transport)
@@ -29,15 +28,13 @@ from .solver import (ExistenceCriterionError, InitialCurve, NumericalCriterionEr
                      transport_solution)
 from .diagnostics import (ExistenceReport, HolderReport, LineField, PartitionPlan,
                           QVReport, build_Z, build_Z_characteristic, equal_slab_partition,
-                          existence_check, holder_estimate, partition_product_check,
-                          partition_product_plan, partition_sup_check, partition_sup_plan,
-                          qv_characteristic_theoretical,
+                          existence_check, holder_estimate, partition_product_plan,
+                          partition_sup_plan, qv_characteristic_theoretical,
                           qv_diagonal_theoretical, qv_estimate, qv_report,
                           qv_slicewise, qv_summary, qv_theoretical, rect_measure_samples,
                           run_partition_plans, separability_residual, weak_bracket_field)
 from .yield_curve import (CompareReport, EnsembleResult, YieldScenario,
                           compare_models, drift_decomposition_residual,
-                          ms_simulate, sheet_increment_covariance,
-                          simulate_yield, transport_baseline)
+                          ms_simulate, sheet_increment_covariance, simulate_yield)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,8 +1,9 @@
 """Quadrature and finite differences on uniform lattices.
 
-Trapezoid rules serve every deterministic integral; the left-endpoint
-rule is reserved for stochastic integrands (Ito convention) and is used
-by the solver module only.
+``trapz_2d`` is the trapezoid rule of the weak-form pairings. The
+cumulative integrals of the solvers are kernels (``_kernels.cumtrapz``,
+and ``_kernels.ito_cumsum`` for the left-endpoint Ito sums of
+stochastic integrands).
 """
 
 from __future__ import annotations
@@ -12,13 +13,9 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .grids import ScalarField
-
 __all__ = [
     "SmoothFunction",
-    "integrate_2d",
     "trapz_2d",
-    "integrate_time",
     "central_diff",
     "default_fd_step",
 ]
@@ -43,32 +40,6 @@ def trapz_2d(values: np.ndarray, h: float) -> float:
     w_x = np.ones(values.shape[1])
     w_x[0] = w_x[-1] = 0.5
     return float(h * h * (w_t @ values @ w_x))
-
-
-def integrate_2d(field: ScalarField) -> float:
-    """Trapezoid approximation of the double integral of a field over its grid."""
-    return trapz_2d(field.values, field.grid.h)
-
-
-def integrate_time(f: np.ndarray, h: float,
-                   rule: Literal["trapezoid", "left"] = "trapezoid") -> np.ndarray:
-    """Cumulative time integral of sampled values at every grid time.
-
-    Returns an array of the same length as ``f`` whose k-th entry
-    approximates the integral from 0 to k*h. The left-endpoint rule is
-    the Ito convention for stochastic integrands.
-    """
-    f = np.asarray(f, dtype=np.float64)
-    if f.size == 0:
-        raise ValueError("empty integrand")
-    out = np.zeros_like(f)
-    if rule == "trapezoid":
-        np.cumsum(0.5 * h * (f[1:] + f[:-1]), axis=0, out=out[1:])
-    elif rule == "left":
-        np.cumsum(h * f[:-1], axis=0, out=out[1:])
-    else:
-        raise ValueError(f"unknown rule {rule!r}")
-    return out
 
 
 def default_fd_step(h: float) -> float:

@@ -32,7 +32,7 @@ from .coefficients import CoefficientSet, const, coord_sum, coord_t, coord_x, po
 from .bumps import standard_bump_battery
 from .diagnostics import (QV_ESTIMATORS, partition_product_plan, partition_sup_plan,
                           qv_samples, qv_summary, run_partition_plans)
-from .grids import GridError, make_grid
+from .grids import GridError, GridSpec, make_grid
 from .operators import OperatorD, WeakFormPlan, write_residual_records
 from .sheet import RectRegion, SheetSource, diagonal_noise, restrict_sheet, sample_sheet
 from .solver import (InitialCurve, NumericalCriterionError, TransportPlan, flat_curve,
@@ -211,7 +211,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
               f"grid.{key} must be a finite number")
     grid_cfg = {k: float(raw["grid"][k]) for k in ("t_max", "x_max", "h")}
     try:
-        make_grid(**grid_cfg)
+        grid = make_grid(**grid_cfg)
     except GridError as exc:
         raise ConfigError(f"grid: {exc}") from None
 
@@ -283,17 +283,17 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     if command == "compare":
         section["ms_alpha"] = _check_coeff_spec("compare.ms_alpha", section["ms_alpha"])
         section["ms_sigma"] = _check_coeff_spec("compare.ms_sigma", section["ms_sigma"])
-    _validate_section(command, section, grid_cfg)
+    _validate_section(command, section, grid)
     data[command] = section
 
     # solve commands force b = -a; an explicit b must satisfy the criterion
     if command in ("simulate", "yield", "weakform", "compare") and "b" in coeffs_cfg:
-        require_criterion(_coefficient_set(coeffs_cfg), make_grid(**grid_cfg))
+        require_criterion(_coefficient_set(coeffs_cfg), grid)
 
     return RunConfig(command, data)
 
 
-def _validate_section(command: str, sec: dict, grid_cfg: dict) -> None:
+def _validate_section(command: str, sec: dict, g: GridSpec) -> None:
     def pos_num(key):
         _need(isinstance(sec.get(key), (int, float)) and sec[key] > 0,
               f"{command}.{key} must be a positive number")
@@ -303,12 +303,12 @@ def _validate_section(command: str, sec: dict, grid_cfg: dict) -> None:
               and all(isinstance(v, int) and v >= 1 for v in sec[key]),
               f"{command}.{key} must be a non-empty list of positive integers")
 
-    def on_t_lattice(key, t_hi):
-        h = grid_cfg["h"]
-        _need(all(0 <= v <= t_hi + 1e-9 for v in sec[key]),
-              f"{command}.{key} must lie within [0, {t_hi:g}]")
-        _need(all(abs(round(v / h) * h - v) < 1e-9 for v in sec[key]),
-              f"{command}.{key} must be on the lattice (multiples of h = {h:g})")
+    def lattice_indices(key, values, axis):
+        # the grid's own rule, so what passes here is what the run reads
+        try:
+            return [g.index_of(float(v), axis) for v in values]
+        except GridError as exc:
+            raise ConfigError(f"{command}.{key} must be on the lattice: {exc}") from None
 
     if command == "qv":
         pos_num("t")
@@ -318,14 +318,11 @@ def _validate_section(command: str, sec: dict, grid_cfg: dict) -> None:
         int_list("n_values")
         _need(isinstance(sec.get("n_seeds"), int) and sec["n_seeds"] >= 2,
               "qv.n_seeds must be an integer >= 2")
-        h = grid_cfg["h"]
-        for key in ("t", "x_lo", "x_hi"):
-            val = float(sec[key])
-            _need(abs(round(val / h) * h - val) < 1e-9, f"qv.{key} must be on the lattice")
-        span = round((float(sec["x_hi"]) - float(sec["x_lo"])) / h)
+        lattice_indices("t", [sec["t"]], "t")
+        j0, j1 = (lattice_indices(key, [sec[key]], "x")[0] for key in ("x_lo", "x_hi"))
         for n in sec["n_values"]:
-            _need(span % n == 0,
-                  f"qv partition count {n} does not divide the lattice span {span}")
+            _need((j1 - j0) % n == 0,
+                  f"qv partition count {n} does not divide the lattice span {j1 - j0}")
     elif command == "weakform":
         _need(isinstance(sec.get("h_values"), list) and len(sec["h_values"]) >= 2
               and all(isinstance(v, (int, float)) and v > 0 for v in sec["h_values"]),
@@ -337,6 +334,12 @@ def _validate_section(command: str, sec: dict, grid_cfg: dict) -> None:
             ratio = h / hs[-1]
             _need(abs(ratio - round(ratio)) < 1e-9,
                   "every weakform.h must be an integer multiple of the finest")
+        try:
+            fine = make_grid(g.t_max, g.x_max, hs[-1])
+            for h in hs[:-1]:
+                fine.coarsen(round(h / hs[-1]))
+        except GridError as exc:
+            raise ConfigError(f"weakform.h_values: {exc}") from None
         _need(isinstance(sec.get("n_seeds"), int) and sec["n_seeds"] >= 1,
               "weakform.n_seeds must be a positive integer")
     elif command == "lemmas":
@@ -345,7 +348,6 @@ def _validate_section(command: str, sec: dict, grid_cfg: dict) -> None:
         for key in ("product_n_seeds", "sup_n_seeds"):
             _need(isinstance(sec.get(key), int) and sec[key] >= 2,
                   f"lemmas.{key} must be an integer >= 2")
-        g = make_grid(**grid_cfg)
         unit, shifted = _lemma_rectangles(g)
         try:
             g.index_of(unit.t_hi, "t")
@@ -361,22 +363,22 @@ def _validate_section(command: str, sec: dict, grid_cfg: dict) -> None:
                     _need(spans[name] % n == 0,
                           f"lemmas.{key}: {n} does not divide the slab span "
                           f"{spans[name]} of the {name} rectangle")
-    elif command == "yield":
+    elif command in ("yield", "compare"):
         _need(isinstance(sec.get("t_slices"), list) and sec["t_slices"]
               and all(isinstance(v, (int, float)) for v in sec["t_slices"]),
-              "yield.t_slices must be a non-empty list of numbers")
-        on_t_lattice("t_slices", grid_cfg["t_max"])
-        _need(isinstance(sec.get("keep_paths"), bool), "yield.keep_paths must be a boolean")
-    elif command == "compare":
-        _need(isinstance(sec.get("t_slices"), list) and sec["t_slices"]
-              and all(isinstance(v, (int, float)) for v in sec["t_slices"]),
-              "compare.t_slices must be a non-empty list of numbers")
-        # each slice needs one increment step after it
-        on_t_lattice("t_slices", grid_cfg["t_max"] - grid_cfg["h"])
-        mats = sec.get("maturities")
-        _need(mats is None or (isinstance(mats, list) and mats
-                               and all(isinstance(v, (int, float)) for v in mats)),
-              "compare.maturities must be null or a list of numbers")
+              f"{command}.t_slices must be a non-empty list of numbers")
+        slices = lattice_indices("t_slices", sec["t_slices"], "t")
+        if command == "yield":
+            _need(isinstance(sec.get("keep_paths"), bool), "yield.keep_paths must be a boolean")
+        else:
+            # each slice needs one increment step after it
+            _need(max(slices) < g.n_t,
+                  f"compare.t_slices must lie within [0, {g.t_max - g.h:g}]")
+            mats = sec.get("maturities")
+            _need(mats is None or (isinstance(mats, list) and mats
+                                   and all(isinstance(v, (int, float)) for v in mats)),
+                  "compare.maturities must be null or a list of numbers")
+            lattice_indices("maturities", mats or (), "x")
 
 
 # ---------------------------------------------------------------------------

@@ -84,10 +84,8 @@ __all__ = [
     "PartitionPlan",
     "run_partition_plans",
     "partition_product_plan",
-    "partition_product_check",
     "PartitionProductRow",
     "partition_sup_plan",
-    "partition_sup_check",
     "PartitionSupRow",
 ]
 
@@ -103,11 +101,6 @@ class ExistenceReport:
     max_deviation: float
     location: tuple[float, float]
     tol: float
-
-    def to_json_dict(self) -> dict:
-        return {"exists": self.exists, "max_deviation": self.max_deviation,
-                "location_t": self.location[0], "location_x": self.location[1],
-                "tol": self.tol}
 
 
 def existence_check(coeffs: CoefficientSet, grid: GridSpec, tol: float = 1e-9,
@@ -481,12 +474,6 @@ class HolderReport:
         if len(self.levels) < 3:
             raise ValueError("Holder estimation needs at least 3 levels")
 
-    def to_json_dict(self) -> dict:
-        return {"estimated_exponent": self.estimated_exponent,
-                "levels": list(self.levels),
-                "regression_residual": self.regression_residual,
-                "degenerate": self.degenerate}
-
 
 def holder_estimate(Z: LineField, x_lo: float, x_hi: float,
                     levels: Sequence[int]) -> HolderReport:
@@ -714,8 +701,16 @@ def partition_product_plan(grid: GridSpec, R: Callable, S: Callable, F: RectRegi
                            G: RectRegion, n_values: Sequence[int],
                            mode: Literal["diagonal", "disjoint"],
                            n_seeds: int = 1000) -> PartitionPlan:
-    """The plan of ``partition_product_check``: its geometry checks, limit,
-    slab corners and midpoint weights R_k S_k, built once."""
+    """L2 convergence of sum_k R_k S_k X(F_k) X(G_k) over slab partitions.
+
+    In diagonal mode (F and G sharing their x-extent) the limit is
+    int_{F cap G} R S d(area); in disjoint mode (x-extents disjoint) it
+    is 0. R_k, S_k are midpoint values on the matching cells. The plan
+    holds the geometry checks, the limit, the slab corners and the
+    weights R_k S_k. Run through ``run_partition_plans``, each of the
+    ``n_seeds`` replicas is one path of the run's seed, reused across the
+    partition sizes, so decay across n is measured on fixed seed batches.
+    """
     inter = _intersection(F, G)
     if mode == "diagonal":
         if inter is None or abs(F.x_lo - G.x_lo) > 1e-12 or abs(F.x_hi - G.x_hi) > 1e-12:
@@ -761,23 +756,6 @@ def partition_product_plan(grid: GridSpec, R: Callable, S: Callable, F: RectRegi
     return PartitionPlan(tuple(corner_sets), n_seeds, reduce)
 
 
-def partition_product_check(sheet: SheetSample, R: Callable, S: Callable,
-                  F: RectRegion, G: RectRegion, n_values: Sequence[int],
-                  mode: Literal["diagonal", "disjoint"],
-                  n_seeds: int = 1000) -> list[PartitionProductRow]:
-    """L2 convergence of sum_k R_k S_k X(F_k) X(G_k) over slab partitions.
-
-    In diagonal mode (F and G sharing their x-extent) the limit is
-    int_{F cap G} R S d(area); in disjoint mode (x-extents disjoint) it
-    is 0. R_k, S_k are midpoint values on the matching cells. The sheet
-    argument supplies the grid and the root seed; each of the ``n_seeds``
-    replicas is drawn from its own derived stream and reused across the
-    partition sizes, so decay across n is measured on fixed seed batches.
-    """
-    plan = partition_product_plan(sheet.grid, R, S, F, G, n_values, mode, n_seeds)
-    return run_partition_plans(sheet.grid, sheet.seed, [plan])[0]
-
-
 @dataclass(frozen=True)
 class PartitionSupRow:
     n: int
@@ -792,7 +770,12 @@ class PartitionSupRow:
 
 def partition_sup_plan(grid: GridSpec, base: RectRegion, n_values: Sequence[int],
                        kappa: float = 0.5, n_seeds: int = 20) -> PartitionPlan:
-    """The plan of ``partition_sup_check``: the slab corners of each partition."""
+    """Median over seeds of sup_k |X(F_k^n)| for equal slab partitions.
+
+    Equal slabs give sup cell area = area/n, so n^kappa * sup -> 0 for
+    any kappa < 1 and the sup statistic must decay with n. The plan
+    holds the slab corners of each partition.
+    """
     schemes = [equal_slab_partition(base, n, grid) for n in n_values]
 
     def reduce(measures: Sequence[np.ndarray]) -> list[PartitionSupRow]:
@@ -806,15 +789,3 @@ def partition_sup_plan(grid: GridSpec, base: RectRegion, n_values: Sequence[int]
 
     return PartitionPlan(tuple(_slab_corners(grid, base, n) for n in n_values),
                          n_seeds, reduce)
-
-
-def partition_sup_check(sheet: SheetSample, base: RectRegion,
-                        n_values: Sequence[int], kappa: float = 0.5,
-                        n_seeds: int = 20) -> list[PartitionSupRow]:
-    """Median over seeds of sup_k |X(F_k^n)| for equal slab partitions.
-
-    Equal slabs give sup cell area = area/n, so n^kappa * sup -> 0 for
-    any kappa < 1 and the sup statistic must decay with n.
-    """
-    plan = partition_sup_plan(sheet.grid, base, n_values, kappa, n_seeds)
-    return run_partition_plans(sheet.grid, sheet.seed, [plan])[0]

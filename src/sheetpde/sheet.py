@@ -27,9 +27,7 @@ __all__ = [
     "RectRegion",
     "DiagonalPath",
     "SheetSource",
-    "draw_cells",
     "sample_sheet",
-    "sample_sheet_batch",
     "rect_measure",
     "diagonal_noise",
     "restrict_sheet",
@@ -207,18 +205,6 @@ class SheetSource:
         values = np.empty((1, g.n_t + 1, g.n_sheet_x + 1))
         self.sample_batch(k, cells, values)
         return SheetSample(g, values[0], cells[0], self.seed)
-
-
-def draw_cells(grid: GridSpec, seed: int, start: int, cells: np.ndarray) -> np.ndarray:
-    """``SheetSource.draw_cells`` for paths start..start+batch-1 of ``seed``."""
-    return SheetSource(grid, seed, start + len(cells)).draw_cells(start, cells)
-
-
-def sample_sheet_batch(grid: GridSpec, seed: int, start: int, cells: np.ndarray,
-                       values: np.ndarray) -> np.ndarray:
-    """``SheetSource.sample_batch`` for paths start..start+batch-1 of ``seed``;
-    path ``start + b`` is bit-identical to ``sample_sheet(grid, seed, start + b)``."""
-    return SheetSource(grid, seed, start + len(cells)).sample_batch(start, cells, values)
 
 
 def sample_sheet(grid: GridSpec, seed: int, path_index: int = 0) -> SheetSample:

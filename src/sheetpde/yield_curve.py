@@ -13,7 +13,7 @@ decorrelates maturities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .coefficients import CoeffFn, CoefficientSet
 from .grids import GridSpec, ScalarField
 from .sheet import DiagonalPath, SheetSource
 from .solver import (InitialCurve, Provenance, SolutionField, TransportPlan,
-                     require_finite, transport_solution)
+                     require_finite)
 
 __all__ = [
     "YieldScenario",
@@ -33,7 +33,6 @@ __all__ = [
     "CompareReport",
     "sheet_increment_covariance",
     "write_slices_csv",
-    "transport_baseline",
     "negate",
 ]
 
@@ -84,7 +83,6 @@ class EnsembleResult:
     t_slices: tuple[float, ...]
     slice_q05: dict
     slice_q95: dict
-    paths: Optional[tuple[SolutionField, ...]] = None
 
 
 # Bytes of one batch of sheets: paths are sampled and solved this many
@@ -126,16 +124,14 @@ def _solved_batches(sc: YieldScenario, head_size: int = 0):
         yield start, plan.solve(sheets[:n], out=values[:n]), head[:n]
 
 
-def simulate_yield(sc: YieldScenario, t_slices: Sequence[float] = (),
-                   keep_paths: bool = False) -> EnsembleResult:
+def simulate_yield(sc: YieldScenario, t_slices: Sequence[float] = ()) -> EnsembleResult:
     """Run the scenario: per-path derived streams, fixed-order aggregation.
 
     Paths are sampled and solved in batches of ``BATCH_BYTES`` of sheets
     through one ``TransportPlan``. The ensemble mean/variance are
     accumulated one path at a time in path-index order, so the result is
-    bit-identical for any batch size. ``keep_paths`` copies every path
-    into the result. Raises NumericalCriterionError when the mean or the
-    variance is not finite.
+    bit-identical for any batch size. Raises NumericalCriterionError when
+    the mean or the variance is not finite.
     """
     g = sc.grid
     slice_idx = {float(t): g.index_of(t, "t") for t in t_slices}
@@ -143,17 +139,13 @@ def simulate_yield(sc: YieldScenario, t_slices: Sequence[float] = (),
     total_sq = np.zeros_like(total)
     square = np.empty_like(total)
     slice_rows = {t: np.empty((sc.n_paths, g.n_x + 1)) for t in slice_idx}
-    kept = []
 
     for start, batch, _ in _solved_batches(sc):
         for t, i in slice_idx.items():
             slice_rows[t][start:start + len(batch)] = batch[:, i]
-        for b, values in enumerate(batch):
+        for values in batch:
             np.add(total, values, out=total)
             np.add(total_sq, np.multiply(values, values, out=square), out=total_sq)
-            if keep_paths:
-                kept.append(SolutionField(g, values.copy(), Provenance(
-                    "closed_form", seed=sc.seed, details=f"path={start + b}")))
 
     n = sc.n_paths
     mean = total / n
@@ -166,8 +158,7 @@ def simulate_yield(sc: YieldScenario, t_slices: Sequence[float] = (),
     q05 = {t: np.quantile(rows, 0.05, axis=0) for t, rows in slice_rows.items()}
     q95 = {t: np.quantile(rows, 0.95, axis=0) for t, rows in slice_rows.items()}
     return EnsembleResult(g, n, sc.seed, ScalarField(g, mean), ScalarField(g, var),
-                          tuple(slice_idx), q05, q95,
-                          tuple(kept) if keep_paths else None)
+                          tuple(slice_idx), q05, q95)
 
 
 def drift_decomposition_residual(path: SolutionField, noise: DiagonalPath,
@@ -342,7 +333,3 @@ def write_slices_csv(result: EnsembleResult, path) -> None:
                         f"{result.variance.values[i, j]:.17g},"
                         f"{result.slice_q05[t][j]:.17g},{result.slice_q95[t][j]:.17g}\n")
 
-
-def transport_baseline(sc: YieldScenario) -> SolutionField:
-    """The noiseless curve r0(t+x) on the scenario grid."""
-    return transport_solution(sc.grid, sc.r0)

@@ -250,20 +250,19 @@ def test_criterion_5_identity():
 
 def test_criterion_6_lemmas():
     g = sp.make_grid(1.0, 1.0, 1.0 / 256)
-    template = sp.sample_sheet(g, 606)
     unit = sp.RectRegion(0.0, 1.0, 0.0, 1.0)
+    shifted = sp.RectRegion(0.0, 1.0, 1.0, 2.0)
     one = sp.const(1.0)
-    diag = sp.partition_product_check(template, one, one, unit, unit, [8, 32, 128],
-                            "diagonal", n_seeds=1000)
+    # one pass over 1000 sheets; each check reduces its own first n_seeds
+    diag, disj, sup_rows = sp.run_partition_plans(g, 606, [
+        sp.partition_product_plan(g, one, one, unit, unit, [8, 32, 128], "diagonal",
+                                  n_seeds=1000),
+        sp.partition_product_plan(g, one, one, unit, shifted, [8, 32, 128], "disjoint",
+                                  n_seeds=1000),
+        sp.partition_sup_plan(g, unit, [4, 16, 64, 256], n_seeds=20)])
     at128 = diag[-1]
     diag_ok = abs(at128.mean_sum - 1.0) <= 3 * at128.std_error
-
-    shifted = sp.RectRegion(0.0, 1.0, 1.0, 2.0)
-    disj = sp.partition_product_check(template, one, one, unit, shifted, [8, 32, 128],
-                            "disjoint", n_seeds=1000)
     disj_ok = disj[0].l2_distance > disj[1].l2_distance > disj[2].l2_distance
-
-    sup_rows = sp.partition_sup_check(template, unit, [4, 16, 64, 256], n_seeds=20)
     sups = [r.median_sup for r in sup_rows]
     sup_ok = all(a > b for a, b in zip(sups, sups[1:]))
 
@@ -281,9 +280,11 @@ def test_criterion_7_yield():
     r0 = sp.polynomial_curve([0.04, 0.01, -0.002])
 
     sc0 = sp.YieldScenario(g, r0, sp.const(0.0), sp.const(0.0), 3, 700)
-    res0 = sp.simulate_yield(sc0, keep_paths=True)
-    base = sp.transport_baseline(sc0)
-    bit_ok = all(np.array_equal(p.values, base.values) for p in res0.paths)
+    plan0 = sp.TransportPlan.build(g, sc0.coefficient_set(), r0)
+    source0 = sp.SheetSource(g, sc0.seed, sc0.n_paths)
+    base = sp.transport_solution(g, r0)
+    bit_ok = all(np.array_equal(plan0.solve(source0.sample(k).values), base.values)
+                 for k in range(sc0.n_paths))
 
     sigma = 0.1
     sc = sp.YieldScenario(g, r0, sp.const(sigma), sp.const(0.0), 10_000, 701)

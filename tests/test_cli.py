@@ -236,7 +236,7 @@ def lemma_cfg(name, out_dir, seed=17):
 
 class TestLemmasShareOnePass:
     """The lemmas command draws each path once for all three checks, and
-    writes what the three public checks give when run one after another."""
+    writes what each of the three plans gives when run alone."""
 
     @pytest.mark.parametrize("name", ["sup-seeds-exceed-product", "t-max-2"])
     def test_one_stream_per_path(self, name, tmp_path, monkeypatch):
@@ -258,20 +258,21 @@ class TestLemmasShareOnePass:
         cfg = lemma_cfg(name, tmp_path / "o")
         run(cfg)
         g, sec = sp.make_grid(**cfg.data["grid"]), cfg.data["lemmas"]
-        template = sp.sample_sheet(g, cfg.data["seed"], path_index=0)
         unit = sp.RectRegion(0.0, 1.0, 0.0, 1.0)
         shifted = sp.RectRegion(0.0, 1.0, 1.0, 2.0)
         one = sp.const(1.0)
-        checks = {
-            "partition_product_diagonal": sp.partition_product_check(
-                template, one, one, unit, unit, sec["product_n_values"], "diagonal",
+        plans = {
+            "partition_product_diagonal": sp.partition_product_plan(
+                g, one, one, unit, unit, sec["product_n_values"], "diagonal",
                 n_seeds=sec["product_n_seeds"]),
-            "partition_product_disjoint": sp.partition_product_check(
-                template, one, one, unit, shifted, sec["product_n_values"], "disjoint",
+            "partition_product_disjoint": sp.partition_product_plan(
+                g, one, one, unit, shifted, sec["product_n_values"], "disjoint",
                 n_seeds=sec["product_n_seeds"]),
-            "partition_sup": sp.partition_sup_check(template, unit, sec["sup_n_values"],
-                                                    n_seeds=sec["sup_n_seeds"]),
+            "partition_sup": sp.partition_sup_plan(g, unit, sec["sup_n_values"],
+                                                   n_seeds=sec["sup_n_seeds"]),
         }
+        checks = {label: sp.run_partition_plans(g, cfg.data["seed"], [plan])[0]
+                  for label, plan in plans.items()}
         report = {k: [r.to_json_dict() for r in rows] for k, rows in checks.items()}
         csv = ["check,n,seed,statistic\n"] + [
             f"{label},{r.n},{k},{v:.17g}\n"
@@ -474,11 +475,46 @@ class TestRun:
         assert not (out / "manifest.json").exists()
 
 
+# configs whose values the grid cannot place; each must fail in parse_config,
+# not in run after the output directory exists
+OFF_GRID_CFGS = {
+    "qv-t-past-t_max": ({"command": "qv", "grid": {"t_max": 1.0, "x_max": 1.0, "h": 0.125},
+                         "qv": {"t": 2.0, "n_values": [2, 4], "n_seeds": 2}},
+                        "qv.t must be on the lattice"),
+    "qv-x_hi-past-x_max": ({"command": "qv",
+                            "grid": {"t_max": 1.0, "x_max": 1.0, "h": 0.125},
+                            "qv": {"x_hi": 1.5, "n_values": [2, 4], "n_seeds": 2}},
+                           "qv.x_hi must be on the lattice"),
+    "compare-maturities": ({"command": "compare",
+                            "grid": {"t_max": 1.0, "x_max": 1.0, "h": 0.125},
+                            "compare": {"maturities": [0.3, 2.0]}},
+                           "compare.maturities must be on the lattice"),
+    "weakform-coarsening-factor": ({"command": "weakform",
+                                    "grid": {"t_max": 1.0, "x_max": 1.0, "h": 0.1},
+                                    "weakform": {"h_values": [0.3, 0.1]}},
+                                   "coarsening factor 3 does not divide"),
+    "weakform-step-off-the-axes": ({"command": "weakform",
+                                    "grid": {"t_max": 1.0, "x_max": 1.0, "h": 0.1},
+                                    "weakform": {"h_values": [0.6, 0.3]}},
+                                   "h=0.3 does not divide the t-axis extent"),
+}
+
+
 class TestMain:
     def write_cfg(self, tmp_path, data):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(data))
         return str(p)
+
+    @pytest.mark.parametrize("name", sorted(OFF_GRID_CFGS))
+    def test_exit_2_off_grid_values_before_any_output(self, name, tmp_path):
+        data, message = OFF_GRID_CFGS[name]
+        out = tmp_path / "o"
+        data = dict(data, out_dir=str(out))
+        with pytest.raises(ConfigError, match=message):
+            parse_config(cfg_text(data))
+        assert main([data["command"], "--config", self.write_cfg(tmp_path, data)]) == 2
+        assert not out.exists()
 
     def test_exit_zero_and_artifacts(self, tmp_path):
         p = self.write_cfg(tmp_path, dict(SIM_CFG, out_dir=str(tmp_path / "go")))

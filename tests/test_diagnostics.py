@@ -7,8 +7,7 @@ import sheetpde as sp
 from sheetpde import sheet as sheet_mod
 from sheetpde.diagnostics import (LineField, PartitionScheme, _rect_measures,
                                   _slab_corners, equal_slab_partition,
-                                  partition_product_check, partition_product_plan,
-                                  partition_sup_check, partition_sup_plan,
+                                  partition_product_plan, partition_sup_plan,
                                   rect_measure_samples)
 from sheetpde.grids import GridSpec
 from sheetpde.sheet import RectRegion
@@ -364,30 +363,37 @@ class TestPartitions:
         assert per_n[0] == per_n[1]
 
 
+LEMMA_SEED = 1212
+
+
 @pytest.fixture(scope="module")
-def lemma_grid_sheet():
-    g = sp.make_grid(1.0, 1.0, 1.0 / 128)
-    return g, sp.sample_sheet(g, 1212)
+def lemma_grid():
+    return sp.make_grid(1.0, 1.0, 1.0 / 128)
+
+
+def run_plan(grid, plan, seed=LEMMA_SEED):
+    """The rows of one plan run alone."""
+    return sp.run_partition_plans(grid, seed, [plan])[0]
 
 
 class TestPartitionProduct:
-    def test_diagonal_mode_converges_to_area(self, lemma_grid_sheet):
-        g, sheet = lemma_grid_sheet
+    def test_diagonal_mode_converges_to_area(self, lemma_grid):
+        g = lemma_grid
         unit = RectRegion(0.0, 1.0, 0.0, 1.0)
         one = sp.const(1.0)
-        rows = partition_product_check(sheet, one, one, unit, unit, [8, 32, 128],
-                             "diagonal", n_seeds=400)
+        rows = run_plan(g, partition_product_plan(g, one, one, unit, unit, [8, 32, 128],
+                                                  "diagonal", n_seeds=400))
         last = rows[-1]
         assert last.limit == pytest.approx(1.0, abs=1e-9)
         assert abs(last.mean_sum - 1.0) <= 3 * last.std_error
         assert rows[0].l2_distance > rows[1].l2_distance > rows[2].l2_distance
 
-    def test_disjoint_mode_converges_to_zero(self, lemma_grid_sheet):
-        g, sheet = lemma_grid_sheet
+    def test_disjoint_mode_converges_to_zero(self, lemma_grid):
+        g = lemma_grid
         F = RectRegion(0.0, 1.0, 0.0, 1.0)
         G = RectRegion(0.0, 1.0, 1.0, 2.0)
-        rows = partition_product_check(sheet, sp.const(1.0), sp.const(1.0), F, G,
-                             [8, 32, 128], "disjoint", n_seeds=400)
+        rows = run_plan(g, partition_product_plan(g, sp.const(1.0), sp.const(1.0), F, G,
+                                                  [8, 32, 128], "disjoint", n_seeds=400))
         assert all(r.limit == 0.0 for r in rows)
         assert rows[0].l2_distance > rows[1].l2_distance > rows[2].l2_distance
 
@@ -406,8 +412,8 @@ class TestPartitionProduct:
             return (np.array([(c.t_lo + c.t_hi) / 2 for c in cells]),
                     np.array([(c.x_lo + c.x_hi) / 2 for c in cells]))
 
-        rows = partition_product_check(sp.sample_sheet(g, 5), R, S, F, G, [4, 32],
-                                       "disjoint", n_seeds=4)
+        rows = run_plan(g, partition_product_plan(g, R, S, F, G, [4, 32], "disjoint",
+                                                  n_seeds=4), seed=5)
         for row in rows:
             pf = equal_slab_partition(F, row.n, g).cells
             pg = equal_slab_partition(G, row.n, g).cells
@@ -418,49 +424,49 @@ class TestPartitionProduct:
                 mg = np.array([sp.rect_measure(sheet, c) for c in pg])
                 assert row.samples[k] == float(np.sum(rk_sk * mf * mg))
 
-    def test_zero_weight_gives_zero_sum(self, lemma_grid_sheet):
-        g, sheet = lemma_grid_sheet
+    def test_zero_weight_gives_zero_sum(self, lemma_grid):
+        g = lemma_grid
         unit = RectRegion(0.0, 1.0, 0.0, 1.0)
-        rows = partition_product_check(sheet, sp.const(0.0), sp.const(1.0), unit, unit,
-                             [8], "diagonal", n_seeds=10)
+        rows = run_plan(g, partition_product_plan(g, sp.const(0.0), sp.const(1.0), unit,
+                                                  unit, [8], "diagonal", n_seeds=10))
         assert rows[0].mean_sum == 0.0 and rows[0].l2_distance == 0.0
 
-    def test_geometry_validation(self, lemma_grid_sheet):
-        g, sheet = lemma_grid_sheet
+    def test_geometry_validation(self, lemma_grid):
+        g = lemma_grid
         F = RectRegion(0.0, 1.0, 0.0, 1.0)
         G_shift = RectRegion(0.0, 1.0, 0.5, 1.5)
         with pytest.raises(ValueError):
-            partition_product_check(sheet, sp.const(1.0), sp.const(1.0), F, G_shift,
-                          [8], "diagonal", n_seeds=5)
+            partition_product_plan(g, sp.const(1.0), sp.const(1.0), F, G_shift,
+                                   [8], "diagonal", n_seeds=5)
         with pytest.raises(ValueError):
-            partition_product_check(sheet, sp.const(1.0), sp.const(1.0), F, G_shift,
-                          [8], "disjoint", n_seeds=5)
+            partition_product_plan(g, sp.const(1.0), sp.const(1.0), F, G_shift,
+                                   [8], "disjoint", n_seeds=5)
 
 
 class TestPartitionSup:
-    def test_single_cell_is_rect_measure(self, lemma_grid_sheet):
-        g, sheet = lemma_grid_sheet
+    def test_single_cell_is_rect_measure(self, lemma_grid):
+        g = lemma_grid
         base = RectRegion(0.0, 1.0, 0.0, 1.0)
-        rows = partition_sup_check(sheet, base, [1], n_seeds=3)
+        rows = run_plan(g, partition_sup_plan(g, base, [1], n_seeds=3))
         # n = 1: per seed the sup is |measure of the whole base rectangle|
-        sups = sorted(abs(sp.rect_measure(sp.sample_sheet(g, sheet.seed, path_index=k),
+        sups = sorted(abs(sp.rect_measure(sp.sample_sheet(g, LEMMA_SEED, path_index=k),
                                           base)) for k in range(3))
         assert rows[0].median_sup == pytest.approx(sups[1], rel=1e-12)
         assert rows[0].hypothesis_value == pytest.approx(1.0)
 
-    def test_medians_decrease(self, lemma_grid_sheet):
-        g, sheet = lemma_grid_sheet
+    def test_medians_decrease(self, lemma_grid):
+        g = lemma_grid
         base = RectRegion(0.0, 1.0, 0.0, 1.0)
-        rows = partition_sup_check(sheet, base, [4, 16, 64], n_seeds=20)
+        rows = run_plan(g, partition_sup_plan(g, base, [4, 16, 64], n_seeds=20))
         sups = [r.median_sup for r in rows]
         assert sups[0] > sups[1] > sups[2]
         hyp = [r.hypothesis_value for r in rows]
         assert hyp[0] > hyp[1] > hyp[2]
 
-    def test_degenerate_zero_area(self, lemma_grid_sheet):
-        g, sheet = lemma_grid_sheet
+    def test_degenerate_zero_area(self, lemma_grid):
+        g = lemma_grid
         base = RectRegion(0.0, 1.0, 0.5, 0.5)
-        rows = partition_sup_check(sheet, base, [4], n_seeds=3)
+        rows = run_plan(g, partition_sup_plan(g, base, [4], n_seeds=3))
         assert rows[0].median_sup == 0.0
 
 

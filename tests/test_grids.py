@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sheetpde as sp
-from sheetpde.calculus import central_diff, integrate_2d, integrate_time, trapz_2d
+from sheetpde.calculus import central_diff, trapz_2d
 from sheetpde.grids import GridError, lattice_to_csv
 
 
@@ -152,11 +152,11 @@ class TestLatticeCsv:
 class TestIntegrate2d:
     def test_constant(self, unit_grid_h025):
         f = sp.ScalarField.from_function(unit_grid_h025, lambda t, x: 1.0 + 0 * t * x)
-        assert integrate_2d(f) == pytest.approx(1.0, abs=1e-14)
+        assert trapz_2d(f.values, unit_grid_h025.h) == pytest.approx(1.0, abs=1e-14)
 
     def test_linear_exact(self, unit_grid_h025):
         f = sp.ScalarField.from_function(unit_grid_h025, lambda t, x: t + 0 * x)
-        assert integrate_2d(f) == pytest.approx(0.5, abs=1e-14)
+        assert trapz_2d(f.values, unit_grid_h025.h) == pytest.approx(0.5, abs=1e-14)
 
     def test_bilinear_exact_vs_direct_summation(self, unit_grid_h025):
         # independent oracle: cell-by-cell corner average
@@ -167,47 +167,16 @@ class TestIntegrate2d:
         for i in range(g.n_t):
             for j in range(g.n_x):
                 total += g.h * g.h * (v[i, j] + v[i + 1, j] + v[i, j + 1] + v[i + 1, j + 1]) / 4
-        assert integrate_2d(f) == pytest.approx(total, abs=1e-14)
-        assert integrate_2d(f) == pytest.approx(0.25, abs=1e-14)
+        assert trapz_2d(v, g.h) == pytest.approx(total, abs=1e-14)
+        assert trapz_2d(v, g.h) == pytest.approx(0.25, abs=1e-14)
 
     def test_tensor_product_identity(self):
         g = sp.make_grid(1.0, 2.0, 0.125)
         rng = np.random.default_rng(5)
         u = rng.standard_normal(g.n_t + 1)
         v = rng.standard_normal(g.n_x + 1)
-        field = sp.ScalarField(g, np.outer(u, v))
         one_d = lambda w: g.h * (w[0] / 2 + w[1:-1].sum() + w[-1] / 2)
-        assert integrate_2d(field) == pytest.approx(one_d(u) * one_d(v), rel=1e-12)
-
-
-class TestIntegrateTime:
-    def test_constant(self):
-        out = integrate_time(np.ones(11), 0.1)
-        assert out[-1] == pytest.approx(1.0, abs=1e-14)
-        assert out[0] == 0.0
-
-    def test_linear_exact(self):
-        for h in (0.1, 0.05, 0.02):
-            s = np.arange(round(1 / h) + 1) * h
-            assert integrate_time(s, h)[-1] == pytest.approx(0.5, abs=1e-12)
-
-    def test_quadratic_error_bound(self):
-        h = 0.01
-        s = np.arange(101) * h
-        err = abs(integrate_time(s * s, h)[-1] - 1.0 / 3.0)
-        assert err <= 2e-5  # h^2/12 * max|f''| = 1/6 * 1e-4
-
-    def test_left_rule(self):
-        h = 0.1
-        s = np.arange(11) * h
-        # left rule on f(s)=s: h^2 * (0+1+...+9) = 0.45
-        assert integrate_time(s, h, rule="left")[-1] == pytest.approx(0.45, abs=1e-12)
-
-    def test_empty_and_bad_rule(self):
-        with pytest.raises(ValueError):
-            integrate_time(np.array([]), 0.1)
-        with pytest.raises(ValueError):
-            integrate_time(np.ones(3), 0.1, rule="midpoint")
+        assert trapz_2d(np.outer(u, v), g.h) == pytest.approx(one_d(u) * one_d(v), rel=1e-12)
 
 
 class TestCentralDiff:
@@ -230,7 +199,3 @@ class TestCentralDiff:
         assert lo == pytest.approx(0.0, abs=1e-9)
         assert hi == pytest.approx(2.0, abs=1e-9)
 
-
-def test_trapz_2d_matches_integrate_2d(unit_grid_h01):
-    f = sp.ScalarField.from_function(unit_grid_h01, lambda t, x: np.sin(t) * x)
-    assert trapz_2d(f.values, unit_grid_h01.h) == integrate_2d(f)

@@ -67,7 +67,7 @@ class TestSheetSource:
         g = tiny_grid
         cells = np.empty((batch, g.n_t, g.n_sheet_x))
         values = np.empty((batch, g.n_t + 1, g.n_sheet_x + 1))
-        sp.sample_sheet_batch(g, seed, start, cells, values)
+        SheetSource(g, seed, start + batch).sample_batch(start, cells, values)
         for b in range(batch):
             assert np.array_equal(cells[b], reference_cells(g, seed, start + b))
         assert np.array_equal(values[-1], sp.sample_sheet(g, seed, start + batch - 1).values)

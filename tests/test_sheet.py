@@ -57,7 +57,7 @@ class TestSampling:
         g = unit_grid_h025
         cells = np.full((5, g.n_t, g.n_sheet_x), np.nan)
         values = np.full((5, g.n_t + 1, g.n_sheet_x + 1), np.nan)
-        assert sp.sample_sheet_batch(g, 7, 3, cells, values) is values
+        assert sp.SheetSource(g, 7, 8).sample_batch(3, cells, values) is values
         for b in range(5):
             one = sp.sample_sheet(g, 7, path_index=3 + b)
             assert np.array_equal(values[b], one.values)
@@ -65,26 +65,28 @@ class TestSampling:
 
     def test_batch_sampler_rejects_mismatched_buffers(self, unit_grid_h025):
         g = unit_grid_h025
+        source = sp.SheetSource(g, 7, 3)
         cells = np.empty((2, g.n_t, g.n_sheet_x))
         with pytest.raises(GridError):
-            sp.sample_sheet_batch(g, 7, 0, cells, np.empty((3, g.n_t + 1, g.n_sheet_x + 1)))
+            source.sample_batch(0, cells, np.empty((3, g.n_t + 1, g.n_sheet_x + 1)))
         with pytest.raises(GridError):
-            sp.sample_sheet_batch(g, 7, 0, cells, np.empty((2, g.n_t + 1, g.n_sheet_x)))
+            source.sample_batch(0, cells, np.empty((2, g.n_t + 1, g.n_sheet_x)))
 
     def test_draw_cells_first_rows_match_the_full_draw(self):
         g = sp.make_grid(2.0, 1.0, 1 / 16)
         cells = np.full((2, 13, g.n_sheet_x), np.nan)
-        assert sp.draw_cells(g, 7, 4, cells) is cells
+        assert sp.SheetSource(g, 7, 6).draw_cells(4, cells) is cells
         for b in range(2):
             full = sp.sample_sheet(g, 7, path_index=4 + b).cell_increments
             assert np.array_equal(cells[b], full[:13])
 
     def test_draw_cells_rejects_mismatched_buffers(self, unit_grid_h025):
         g = unit_grid_h025
+        source = sp.SheetSource(g, 7, 1)
         for shape in ((1, g.n_t + 1, g.n_sheet_x), (1, g.n_t, g.n_sheet_x - 1),
                       (g.n_t, g.n_sheet_x)):
             with pytest.raises(GridError):
-                sp.draw_cells(g, 7, 0, np.empty(shape))
+                source.draw_cells(0, np.empty(shape))
 
     def test_zero_boundaries(self, unit_grid_h025):
         for seed in (0, 1, 12345):

@@ -8,8 +8,7 @@ from sheetpde.rng import stream_for_path
 from sheetpde.solver import ExistenceCriterionError
 from sheetpde.yield_curve import (compare_models, drift_decomposition_residual,
                                   ms_simulate, sheet_increment_covariance,
-                                  simulate_yield, transport_baseline,
-                                  write_slices_csv)
+                                  simulate_yield, write_slices_csv)
 
 
 def scenario(grid, vol, carry, n_paths, seed, r0=None):
@@ -20,10 +19,11 @@ class TestSimulateYield:
     def test_zero_vol_reproduces_transport_exactly(self, unit_grid_h01):
         sc = scenario(unit_grid_h01, sp.const(0.0), sp.const(0.0), 3, 11,
                       r0=sp.polynomial_curve([0.04, 0.01, -0.001]))
-        res = simulate_yield(sc, t_slices=[0.5], keep_paths=True)
-        base = transport_baseline(sc)
-        for path in res.paths:
-            assert np.array_equal(path.values, base.values)
+        base = sp.transport_solution(sc.grid, sc.r0)
+        for _, batch, _ in yield_mod._solved_batches(sc):
+            for values in batch:
+                assert np.array_equal(values, base.values)
+        res = simulate_yield(sc, t_slices=[0.5])
         assert np.allclose(res.mean.values, base.values, rtol=1e-15)
         # streaming sum-of-squares accumulation leaves only rounding dust
         assert np.all(res.variance.values <= 1e-16)
@@ -42,7 +42,7 @@ class TestSimulateYield:
         sigma = 0.2
         sc = scenario(g, sp.const(sigma), sp.const(0.0), 3000, 23)
         res = simulate_yield(sc)
-        base = transport_baseline(sc)
+        base = sp.transport_solution(g, sc.r0)
         for (t, x) in [(0.5, 0.5), (1.0, 1.0)]:
             sd = sigma * np.sqrt(t * (t + x))
             gap = abs(res.mean.value_at(t, x) - base.value_at(t, x))
@@ -122,15 +122,17 @@ class TestBatchedEnsembleIsBitIdentical:
         monkeypatch.setattr(yield_mod, "BATCH_BYTES",
                             batch * 8 * (g.n_t + 1) * (g.n_sheet_x + 1))
         assert yield_mod._paths_per_batch(g, sc.n_paths) == batch
-        res = simulate_yield(sc, t_slices=self.SLICES, keep_paths=True)
+        res = simulate_yield(sc, t_slices=self.SLICES)
         assert np.array_equal(res.mean.values, mean)
         assert np.array_equal(res.variance.values, var)
         for t in self.SLICES:
             assert np.array_equal(res.slice_q05[t], q05[t])
             assert np.array_equal(res.slice_q95[t], q95[t])
-        for k, path in enumerate(res.paths):
-            assert np.array_equal(path.values, paths[k])
-            assert path.provenance.details == f"path={k}"
+        solved = [values.copy() for _, batch, _ in yield_mod._solved_batches(sc)
+                  for values in batch]
+        assert len(solved) == len(paths)
+        for k, values in enumerate(solved):
+            assert np.array_equal(values, paths[k])
 
 
 class TestPathInvariantWorkRunsOnce:
