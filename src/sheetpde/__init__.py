@@ -26,13 +26,13 @@ from .solver import (ExistenceCriterionError, InitialCurve, NumericalCriterionEr
                      nelson_siegel_curve, polynomial_curve, require_criterion,
                      solve_b_zero, solve_ito_form, solve_transport, integral_identity_sides,
                      transport_solution)
-from .diagnostics import (ExistenceReport, HolderReport, LineField, PartitionPlan,
-                          QVReport, build_Z, build_Z_characteristic, equal_slab_partition,
-                          existence_check, holder_estimate, partition_product_plan,
-                          partition_sup_plan, qv_characteristic_theoretical,
-                          qv_diagonal_theoretical, qv_estimate, qv_report,
-                          qv_slicewise, qv_summary, qv_theoretical, rect_measure_samples,
-                          run_partition_plans, separability_residual, weak_bracket_field)
+from .diagnostics import (HolderReport, LineField, PartitionPlan, QVReport, build_Z,
+                          build_Z_characteristic, equal_slab_partition, holder_estimate,
+                          partition_product_plan, partition_sup_plan,
+                          qv_characteristic_theoretical, qv_diagonal_theoretical,
+                          qv_estimate, qv_report, qv_slicewise, qv_summary, qv_theoretical,
+                          rect_measure_samples, run_partition_plans, separability_residual,
+                          weak_bracket_field)
 from .yield_curve import (CompareReport, EnsembleResult, YieldScenario,
                           compare_models, drift_decomposition_residual,
                           ms_simulate, sheet_increment_covariance, simulate_yield)

@@ -35,7 +35,7 @@ from .diagnostics import (QV_ESTIMATORS, partition_product_plan, partition_sup_p
 from .grids import GridError, GridSpec, make_grid
 from .operators import OperatorD, WeakFormPlan, write_residual_records
 from .sheet import RectRegion, SheetSource, diagonal_noise, restrict_sheet, sample_sheet
-from .solver import (InitialCurve, NumericalCriterionError, TransportPlan, flat_curve,
+from .solver import (NumericalCriterionError, TransportPlan, flat_curve,
                      nelson_siegel_curve, polynomial_curve, require_criterion,
                      require_finite, solve_transport, transport_solution)
 from .yield_curve import (YieldScenario, compare_models, negate, simulate_yield,
@@ -51,62 +51,14 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# schema
+# schema: one table of fields, read by one section checker
 # ---------------------------------------------------------------------------
 
 _ALIASES = {"stepsize": "h", "step": "h", "dt": "h", "dx": "h",
             "paths": "n_paths", "npaths": "n_paths", "outdir": "out_dir"}
 
-_COEFF_KINDS = ("const", "t", "x", "t+x", "poly")
-_CURVE_KINDS = ("flat", "nelson_siegel", "poly")
-
-_SCHEMA = {
-    "": {"command", "grid", "coefficients", "initial_curve", "seed", "n_paths",
-         "out_dir", "tolerances", "simulate", "qv", "weakform", "lemmas",
-         "yield", "compare"},
-    "grid": {"t_max", "x_max", "h"},
-    "coefficients": {"a", "b", "c"},
-    "initial_curve": {"kind", "level", "beta0", "beta1", "beta2", "tau", "coeffs"},
-    "tolerances": {"qv_relative", "mc_sigmas"},
-    "simulate": set(),
-    "qv": {"t", "x_lo", "x_hi", "n_values", "n_seeds"},
-    "weakform": {"h_values", "n_seeds"},
-    "lemmas": {"product_n_values", "product_n_seeds", "sup_n_values", "sup_n_seeds"},
-    "yield": {"t_slices", "keep_paths"},
-    "compare": {"t_slices", "maturities", "ms_alpha", "ms_sigma"},
-}
-
-_DEFAULTS = {
-    "seed": 0,
-    "n_paths": 1000,
-    "out_dir": "out",
-    "coefficients": {"a": {"kind": "const", "value": 1.0},
-                     "c": {"kind": "const", "value": 0.0}},
-    "initial_curve": {"kind": "flat", "level": 0.0},
-    "tolerances": {"qv_relative": 0.1, "mc_sigmas": 3.0},
-    "qv": {"t": 1.0, "x_lo": 0.0, "x_hi": 1.0, "n_values": [64, 128, 256], "n_seeds": 50},
-    "weakform": {"h_values": [0.04, 0.02, 0.01], "n_seeds": 20},
-    "lemmas": {"product_n_values": [8, 32, 128], "product_n_seeds": 1000,
-               "sup_n_values": [4, 16, 64, 256], "sup_n_seeds": 20},
-    "yield": {"t_slices": [0.5, 1.0], "keep_paths": False},
-    "compare": {"t_slices": [0.5], "maturities": None,
-                "ms_alpha": {"kind": "const", "value": 0.0},
-                "ms_sigma": {"kind": "const", "value": 1.0}},
-    "simulate": {},
-}
-
-
-def _reject_unknown(section: str, given: dict) -> None:
-    allowed = _SCHEMA[section]
-    for key in given:
-        if key not in allowed:
-            hint = _ALIASES.get(key) or next(
-                iter(difflib.get_close_matches(key, sorted(allowed), n=1)), None)
-            where = f"section '{section}'" if section else "top level"
-            msg = f"unknown key '{key}' at {where}"
-            if hint:
-                msg += f"; did you mean '{hint}'?"
-            raise ConfigError(msg)
+_REQUIRED = object()   # default of a key that must be given
+_OPTIONAL = object()   # default of a key left out of the effective config when absent
 
 
 def _need(cond: bool, msg: str) -> None:
@@ -114,47 +66,150 @@ def _need(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def _check_coeff_spec(path: str, spec) -> dict:
-    _need(isinstance(spec, dict), f"{path} must be an object")
-    _need("kind" in spec, f"{path} needs a 'kind' ({', '.join(_COEFF_KINDS)})")
-    kind = spec["kind"]
-    _need(kind in _COEFF_KINDS, f"{path}.kind: unknown kind {kind!r}")
-    allowed = {"kind"} | ({"value"} if kind == "const" else set()) \
-        | ({"coeffs"} if kind == "poly" else set())
-    for key in spec:
-        _need(key in allowed, f"unknown key '{key}' in {path}")
-    if kind == "const":
-        _need(isinstance(spec.get("value"), (int, float)), f"{path}.value must be a number")
-        return {"kind": "const", "value": float(spec["value"])}
-    if kind == "poly":
-        rows = spec.get("coeffs")
-        _need(isinstance(rows, list) and rows and all(
-            isinstance(r, list) and r and all(isinstance(v, (int, float)) for v in r)
-            for r in rows), f"{path}.coeffs must be a non-empty matrix of numbers")
-        return {"kind": "poly", "coeffs": [[float(v) for v in r] for r in rows]}
-    return {"kind": kind}
+def _rule(ok, what: str, convert=None):
+    """A field rule ``(path, value) -> value``: ConfigError("<path> must be
+    <what>") unless ``ok(value)``; returns the value to echo, converted."""
+    def check(path: str, value):
+        if not ok(value):
+            raise ConfigError(f"{path} must be {what}")
+        return convert(value) if convert else value
+    return check
 
 
-def coeff_from_spec(spec: dict) -> CoeffFn:
-    kind = spec["kind"]
-    if kind == "const":
-        return const(spec["value"])
-    if kind == "t":
-        return coord_t()
-    if kind == "x":
-        return coord_x()
-    if kind == "t+x":
-        return coord_sum()
-    return polynomial(spec["coeffs"])
+def _is_num(v) -> bool:
+    # JSON true and false are bools, which Python counts as ints
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def curve_from_spec(spec: dict) -> InitialCurve:
-    kind = spec["kind"]
-    if kind == "flat":
-        return flat_curve(spec["level"])
-    if kind == "nelson_siegel":
-        return nelson_siegel_curve(spec["beta0"], spec["beta1"], spec["beta2"], spec["tau"])
-    return polynomial_curve(spec["coeffs"])
+def _is_int(v, lo: int) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= lo
+
+
+def _is_nums(v) -> bool:
+    return isinstance(v, list) and bool(v) and all(_is_num(x) for x in v)
+
+
+def _as_given(path: str, value):
+    return value
+
+
+def _table(path: str, given) -> dict:
+    return _section(path, given, _FIELDS[path])
+
+
+_NUM = _rule(_is_num, "a number")
+_FLOAT = _rule(_is_num, "a number", float)
+_POS = _rule(lambda v: _is_num(v) and v > 0, "a positive number")
+_POS_FLOAT = _rule(lambda v: _is_num(v) and v > 0, "a positive number", float)
+_NUMS = _rule(_is_nums, "a non-empty list of numbers")
+_COUNTS = _rule(lambda v: isinstance(v, list) and bool(v) and all(_is_int(x, 1) for x in v),
+                "a non-empty list of positive integers")
+_POS_INT = _rule(lambda v: _is_int(v, 1), "a positive integer")
+_SEEDS = _rule(lambda v: _is_int(v, 2), "an integer >= 2")
+_STEPS = _rule(lambda v: isinstance(v, list) and len(v) >= 2
+               and all(_is_num(x) and x > 0 for x in v), "a list of at least 2 positive steps")
+
+
+def _tagged(kinds: dict):
+    """The rule of a spec ``{"kind": k, ...}`` that carries kind k's fields
+    and no others; ``kinds`` maps each kind to (builder, fields)."""
+    names = tuple(kinds)
+
+    def check(path: str, spec) -> dict:
+        if isinstance(spec, dict) and spec.get("kind") not in names:
+            raise ConfigError(f"{path}.kind must be one of {names}")
+        fields = kinds[spec["kind"]][1] if isinstance(spec, dict) else {}
+        return _section(path, spec, {"kind": (_REQUIRED, _as_given), **fields})
+    return check
+
+
+def _build(kinds: dict, spec: dict):
+    """The object a checked spec describes: its kind's builder, called with
+    the spec's fields in table order."""
+    builder, fields = kinds[spec["kind"]]
+    return builder(*(spec[name] for name in fields))
+
+
+_COEFF_KINDS = {
+    "const": (const, {"value": (_REQUIRED, _FLOAT)}),
+    "t": (coord_t, {}),
+    "x": (coord_x, {}),
+    "t+x": (coord_sum, {}),
+    "poly": (polynomial, {"coeffs": (_REQUIRED, _rule(
+        lambda v: isinstance(v, list) and bool(v) and all(_is_nums(r) for r in v),
+        "a non-empty matrix of numbers", lambda v: [[float(x) for x in r] for r in v]))}),
+}
+_CURVE_KINDS = {
+    "flat": (flat_curve, {"level": (0.0, _FLOAT)}),
+    "nelson_siegel": (nelson_siegel_curve, {"beta0": (_REQUIRED, _FLOAT),
+                                            "beta1": (_REQUIRED, _FLOAT),
+                                            "beta2": (_REQUIRED, _FLOAT),
+                                            "tau": (_REQUIRED, _POS_FLOAT)}),
+    "poly": (polynomial_curve, {"coeffs": (_REQUIRED, _rule(
+        _is_nums, "a non-empty list of numbers", lambda v: [float(x) for x in v]))}),
+}
+_COEFF = _tagged(_COEFF_KINDS)
+
+# every key of every section: {name: (default, rule)}
+_FIELDS = {
+    "": {
+        "command": (_REQUIRED, _rule(lambda v: v in COMMANDS, f"one of {COMMANDS}")),
+        "grid": (_REQUIRED, _table),
+        "seed": (0, _rule(lambda v: _is_int(v, 0), "a non-negative integer")),
+        "n_paths": (1000, _POS_INT),
+        "out_dir": ("out", _rule(lambda v: isinstance(v, str) and v != "",
+                                 "a non-empty string")),
+        "tolerances": ({}, _table),
+        "coefficients": ({}, _table),
+        "initial_curve": ({"kind": "flat"}, _tagged(_CURVE_KINDS)),
+        # only the command's own section is checked and echoed (parse_config)
+        **{name: (_OPTIONAL, _as_given) for name in COMMANDS},
+    },
+    # a --h override is not JSON, so it can still be nan or inf
+    "grid": dict.fromkeys(("t_max", "x_max", "h"), (_REQUIRED, _rule(
+        lambda v: _is_num(v) and math.isfinite(v), "a finite number", float))),
+    "tolerances": {"qv_relative": (0.1, _POS_FLOAT), "mc_sigmas": (3.0, _POS_FLOAT)},
+    # b defaults to -a in the solve commands and to 0 in qv (parse_config)
+    "coefficients": {"a": ({"kind": "const", "value": 1.0}, _COEFF),
+                     "b": (_OPTIONAL, _COEFF),
+                     "c": ({"kind": "const", "value": 0.0}, _COEFF)},
+    "simulate": {},
+    "qv": {"t": (1.0, _POS), "x_lo": (0.0, _NUM), "x_hi": (1.0, _NUM),
+           "n_values": ([64, 128, 256], _COUNTS), "n_seeds": (50, _SEEDS)},
+    "weakform": {"h_values": ([0.04, 0.02, 0.01], _STEPS), "n_seeds": (20, _POS_INT)},
+    "lemmas": {"product_n_values": ([8, 32, 128], _COUNTS), "product_n_seeds": (1000, _SEEDS),
+               "sup_n_values": ([4, 16, 64, 256], _COUNTS), "sup_n_seeds": (20, _SEEDS)},
+    "yield": {"t_slices": ([0.5, 1.0], _NUMS),
+              "keep_paths": (False, _rule(lambda v: isinstance(v, bool), "a boolean"))},
+    "compare": {"t_slices": ([0.5], _NUMS),
+                "maturities": (None, _rule(lambda v: v is None or _is_nums(v),
+                                           "null or a list of numbers")),
+                "ms_alpha": ({"kind": "const", "value": 0.0}, _COEFF),
+                "ms_sigma": ({"kind": "const", "value": 1.0}, _COEFF)},
+}
+
+
+def _section(path: str, given, fields: dict) -> dict:
+    """``given`` checked against ``fields``: an object with no unknown key,
+    every default filled in and every value replaced by what its rule returns."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{path} must be an object")
+    for key in given:
+        if key not in fields:
+            hint = _ALIASES.get(key) or next(
+                iter(difflib.get_close_matches(key, sorted(fields), n=1)), None)
+            msg = f"unknown key '{key}' at " + (f"section '{path}'" if path else "top level")
+            raise ConfigError(msg + (f"; did you mean '{hint}'?" if hint else ""))
+    out = {}
+    for name, (default, rule) in fields.items():
+        value = given.get(name, default)
+        if value is _OPTIONAL:
+            continue
+        where = f"{path}.{name}" if path else name
+        if value is _REQUIRED:
+            raise ConfigError(f"{where} is required")
+        out[name] = rule(where, value)
+    return out
 
 
 @dataclass(frozen=True)
@@ -192,141 +247,47 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         if val is None:
             continue
         if key == "h":
-            raw.setdefault("grid", {})
-            raw["grid"] = dict(raw["grid"], h=val)
+            grid = raw.get("grid", {})
+            raw["grid"] = dict(grid, h=val) if isinstance(grid, dict) else grid
         else:
             raw[key] = val
 
-    _reject_unknown("", raw)
-    _need("command" in raw, "config needs a 'command'")
-    command = raw["command"]
-    _need(command in COMMANDS, f"command must be one of {COMMANDS}, got {command!r}")
-
-    _need("grid" in raw and isinstance(raw["grid"], dict), "config needs a 'grid' section")
-    _reject_unknown("grid", raw["grid"])
-    for key in ("t_max", "x_max", "h"):
-        val = raw["grid"].get(key)
-        # a --h override is not JSON, so it can still be nan or inf
-        _need(isinstance(val, (int, float)) and math.isfinite(val),
-              f"grid.{key} must be a finite number")
-    grid_cfg = {k: float(raw["grid"][k]) for k in ("t_max", "x_max", "h")}
+    data = _section("", raw, _FIELDS[""])
+    command = data["command"]
     try:
-        grid = make_grid(**grid_cfg)
+        grid = make_grid(**data["grid"])
     except GridError as exc:
         raise ConfigError(f"grid: {exc}") from None
-
-    data = {
-        "command": command,
-        "grid": grid_cfg,
-        "seed": raw.get("seed", _DEFAULTS["seed"]),
-        "n_paths": raw.get("n_paths", _DEFAULTS["n_paths"]),
-        "out_dir": raw.get("out_dir", _DEFAULTS["out_dir"]),
-    }
-    _need(isinstance(data["seed"], int) and data["seed"] >= 0,
-          "seed must be a non-negative integer")
-    _need(isinstance(data["n_paths"], int) and data["n_paths"] >= 1,
-          "n_paths must be a positive integer")
-    _need(isinstance(data["out_dir"], str) and data["out_dir"],
-          "out_dir must be a non-empty string")
-
-    tol = dict(_DEFAULTS["tolerances"])
-    if "tolerances" in raw:
-        _reject_unknown("tolerances", raw["tolerances"])
-        for key, val in raw["tolerances"].items():
-            _need(isinstance(val, (int, float)) and val > 0,
-                  f"tolerances.{key} must be a positive number")
-            tol[key] = float(val)
-    data["tolerances"] = tol
-
-    coeffs_raw = raw.get("coefficients", {})
-    _need(isinstance(coeffs_raw, dict), "'coefficients' must be an object")
-    _reject_unknown("coefficients", coeffs_raw)
-    coeffs_cfg = {
-        "a": _check_coeff_spec("coefficients.a",
-                               coeffs_raw.get("a", _DEFAULTS["coefficients"]["a"])),
-        "c": _check_coeff_spec("coefficients.c",
-                               coeffs_raw.get("c", _DEFAULTS["coefficients"]["c"])),
-    }
-    if "b" in coeffs_raw:
-        coeffs_cfg["b"] = _check_coeff_spec("coefficients.b", coeffs_raw["b"])
-    elif command == "qv":
-        coeffs_cfg["b"] = {"kind": "const", "value": 0.0}
-    data["coefficients"] = coeffs_cfg
-
-    curve_raw = raw.get("initial_curve", _DEFAULTS["initial_curve"])
-    _need(isinstance(curve_raw, dict), "'initial_curve' must be an object")
-    _reject_unknown("initial_curve", curve_raw)
-    kind = curve_raw.get("kind")
-    _need(kind in _CURVE_KINDS, f"initial_curve.kind must be one of {_CURVE_KINDS}")
-    if kind == "flat":
-        _need(isinstance(curve_raw.get("level", 0.0), (int, float)),
-              "initial_curve.level must be a number")
-        data["initial_curve"] = {"kind": "flat", "level": float(curve_raw.get("level", 0.0))}
-    elif kind == "nelson_siegel":
-        keys = ("beta0", "beta1", "beta2", "tau")
-        for key in keys:
-            _need(isinstance(curve_raw.get(key), (int, float)),
-                  f"initial_curve.{key} must be a number")
-        _need(curve_raw["tau"] > 0, "initial_curve.tau must be positive")
-        data["initial_curve"] = {"kind": kind, **{k: float(curve_raw[k]) for k in keys}}
-    else:
-        cs = curve_raw.get("coeffs")
-        _need(isinstance(cs, list) and cs and all(isinstance(v, (int, float)) for v in cs),
-              "initial_curve.coeffs must be a non-empty list of numbers")
-        data["initial_curve"] = {"kind": "poly", "coeffs": [float(v) for v in cs]}
-
-    section = dict(_DEFAULTS[command])
-    if command in raw:
-        _need(isinstance(raw[command], dict), f"'{command}' must be an object")
-        _reject_unknown(command, raw[command])
-        section.update(raw[command])
-    if command == "compare":
-        section["ms_alpha"] = _check_coeff_spec("compare.ms_alpha", section["ms_alpha"])
-        section["ms_sigma"] = _check_coeff_spec("compare.ms_sigma", section["ms_sigma"])
-    _validate_section(command, section, grid)
-    data[command] = section
+    if command == "qv":
+        data["coefficients"].setdefault("b", {"kind": "const", "value": 0.0})
+    data = {k: v for k, v in data.items() if k not in COMMANDS}
+    data[command] = _section(command, raw.get(command, {}), _FIELDS[command])
+    _check_lattice(command, data[command], grid)
 
     # solve commands force b = -a; an explicit b must satisfy the criterion
-    if command in ("simulate", "yield", "weakform", "compare") and "b" in coeffs_cfg:
-        require_criterion(_coefficient_set(coeffs_cfg), grid)
+    if command in ("simulate", "yield", "weakform", "compare") and "b" in data["coefficients"]:
+        require_criterion(_coefficient_set(data["coefficients"]), grid)
 
     return RunConfig(command, data)
 
 
-def _validate_section(command: str, sec: dict, g: GridSpec) -> None:
-    def pos_num(key):
-        _need(isinstance(sec.get(key), (int, float)) and sec[key] > 0,
-              f"{command}.{key} must be a positive number")
-
-    def int_list(key):
-        _need(isinstance(sec.get(key), list) and sec[key]
-              and all(isinstance(v, int) and v >= 1 for v in sec[key]),
-              f"{command}.{key} must be a non-empty list of positive integers")
-
+def _check_lattice(command: str, sec: dict, g: GridSpec) -> None:
+    """The checks of a command's section against the grid, by the grid's
+    own rules, so what passes here is what the run reads."""
     def lattice_indices(key, values, axis):
-        # the grid's own rule, so what passes here is what the run reads
         try:
             return [g.index_of(float(v), axis) for v in values]
         except GridError as exc:
             raise ConfigError(f"{command}.{key} must be on the lattice: {exc}") from None
 
     if command == "qv":
-        pos_num("t")
-        _need(isinstance(sec.get("x_lo"), (int, float)), "qv.x_lo must be a number")
-        _need(isinstance(sec.get("x_hi"), (int, float)), "qv.x_hi must be a number")
         _need(sec["x_lo"] < sec["x_hi"], "qv.x_lo must be below qv.x_hi")
-        int_list("n_values")
-        _need(isinstance(sec.get("n_seeds"), int) and sec["n_seeds"] >= 2,
-              "qv.n_seeds must be an integer >= 2")
         lattice_indices("t", [sec["t"]], "t")
         j0, j1 = (lattice_indices(key, [sec[key]], "x")[0] for key in ("x_lo", "x_hi"))
         for n in sec["n_values"]:
             _need((j1 - j0) % n == 0,
                   f"qv partition count {n} does not divide the lattice span {j1 - j0}")
     elif command == "weakform":
-        _need(isinstance(sec.get("h_values"), list) and len(sec["h_values"]) >= 2
-              and all(isinstance(v, (int, float)) and v > 0 for v in sec["h_values"]),
-              "weakform.h_values must list at least 2 positive steps")
         hs = [float(v) for v in sec["h_values"]]
         _need(all(hs[i] > hs[i + 1] for i in range(len(hs) - 1)),
               "weakform.h_values must be strictly decreasing")
@@ -340,14 +301,7 @@ def _validate_section(command: str, sec: dict, g: GridSpec) -> None:
                 fine.coarsen(round(h / hs[-1]))
         except GridError as exc:
             raise ConfigError(f"weakform.h_values: {exc}") from None
-        _need(isinstance(sec.get("n_seeds"), int) and sec["n_seeds"] >= 1,
-              "weakform.n_seeds must be a positive integer")
     elif command == "lemmas":
-        int_list("product_n_values")
-        int_list("sup_n_values")
-        for key in ("product_n_seeds", "sup_n_seeds"):
-            _need(isinstance(sec.get(key), int) and sec[key] >= 2,
-                  f"lemmas.{key} must be an integer >= 2")
         unit, shifted = _lemma_rectangles(g)
         try:
             g.index_of(unit.t_hi, "t")
@@ -364,21 +318,12 @@ def _validate_section(command: str, sec: dict, g: GridSpec) -> None:
                           f"lemmas.{key}: {n} does not divide the slab span "
                           f"{spans[name]} of the {name} rectangle")
     elif command in ("yield", "compare"):
-        _need(isinstance(sec.get("t_slices"), list) and sec["t_slices"]
-              and all(isinstance(v, (int, float)) for v in sec["t_slices"]),
-              f"{command}.t_slices must be a non-empty list of numbers")
         slices = lattice_indices("t_slices", sec["t_slices"], "t")
-        if command == "yield":
-            _need(isinstance(sec.get("keep_paths"), bool), "yield.keep_paths must be a boolean")
-        else:
+        if command == "compare":
             # each slice needs one increment step after it
             _need(max(slices) < g.n_t,
                   f"compare.t_slices must lie within [0, {g.t_max - g.h:g}]")
-            mats = sec.get("maturities")
-            _need(mats is None or (isinstance(mats, list) and mats
-                                   and all(isinstance(v, (int, float)) for v in mats)),
-                  "compare.maturities must be null or a list of numbers")
-            lattice_indices("maturities", mats or (), "x")
+            lattice_indices("maturities", sec["maturities"] or (), "x")
 
 
 # ---------------------------------------------------------------------------
@@ -387,17 +332,23 @@ def _validate_section(command: str, sec: dict, g: GridSpec) -> None:
 
 
 def _coefficient_set(spec: dict) -> CoefficientSet:
-    a = coeff_from_spec(spec["a"])
-    b = coeff_from_spec(spec["b"]) if "b" in spec else negate(a)
-    c = coeff_from_spec(spec["c"])
+    a = _build(_COEFF_KINDS, spec["a"])
+    b = _build(_COEFF_KINDS, spec["b"]) if "b" in spec else negate(a)
+    c = _build(_COEFF_KINDS, spec["c"])
     return CoefficientSet(a=a, b=b, c=c)
 
 
 class _Outputs:
-    """Tracks files created by a run so failures can clean up after themselves."""
+    """Creates the output directory and tracks the files a run writes, so a
+    failed run can remove them and a directory it created."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
+        self.made_dir = not out_dir.exists()
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise OSError(f"cannot create output directory {out_dir}: {exc}") from exc
         self.created: list[Path] = []
 
     def path(self, name: str) -> Path:
@@ -409,6 +360,11 @@ class _Outputs:
         for p in self.created:
             try:
                 p.unlink(missing_ok=True)
+            except OSError:
+                pass
+        if self.made_dir:
+            try:
+                self.out_dir.rmdir()   # only if nothing else was put there
             except OSError:
                 pass
 
@@ -425,12 +381,7 @@ def run(cfg: RunConfig, workers: int = 1) -> list[str]:
     Every command runs on one thread. ``workers`` has no effect: it is
     accepted because existing callers still pass it.
     """
-    out_dir = Path(cfg.data["out_dir"])
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"cannot create output directory {out_dir}: {exc}") from exc
-    outputs = _Outputs(out_dir)
+    outputs = _Outputs(Path(cfg.data["out_dir"]))
     started = time.time()
     try:
         with open(outputs.path("config_effective.json"), "w", encoding="utf-8") as f:
@@ -457,7 +408,7 @@ def run(cfg: RunConfig, workers: int = 1) -> list[str]:
 
 def _grid_curve(cfg: RunConfig):
     g = make_grid(**cfg.data["grid"])
-    r0 = curve_from_spec(cfg.data["initial_curve"])
+    r0 = _build(_CURVE_KINDS, cfg.data["initial_curve"])
     r0.validate(g.sheet_x_max)
     return g, r0
 
@@ -611,27 +562,26 @@ def _run_lemmas(cfg: RunConfig, outputs: _Outputs) -> None:
                     f.write(f"{label},{r.n},{k},{v:.17g}\n")
 
 
-def _run_yield(cfg: RunConfig, outputs: _Outputs) -> None:
+def _scenario(cfg: RunConfig) -> YieldScenario:
     g, r0 = _grid_curve(cfg)
-    spec = cfg.data["coefficients"]
-    sc = YieldScenario(g, r0, coeff_from_spec(spec["a"]), coeff_from_spec(spec["c"]),
-                       cfg.data["n_paths"], cfg.data["seed"])
+    a, c = (_build(_COEFF_KINDS, cfg.data["coefficients"][k]) for k in ("a", "c"))
+    return YieldScenario(g, r0, a, c, cfg.data["n_paths"], cfg.data["seed"])
+
+
+def _run_yield(cfg: RunConfig, outputs: _Outputs) -> None:
+    sc = _scenario(cfg)
     # yield.keep_paths is accepted but unused: no output reads the paths
     result = simulate_yield(sc, t_slices=cfg.data["yield"]["t_slices"])
     write_slices_csv(result, outputs.path("yield_slices.csv"))
     result.mean.to_csv(outputs.path("yield_mean.csv"))
     result.variance.to_csv(outputs.path("yield_variance.csv"))
-    transport_solution(g, r0).to_csv(outputs.path("baseline.csv"))
+    transport_solution(sc.grid, sc.r0).to_csv(outputs.path("baseline.csv"))
 
 
 def _run_compare(cfg: RunConfig, outputs: _Outputs) -> None:
-    g, r0 = _grid_curve(cfg)
-    spec = cfg.data["coefficients"]
     sec = cfg.data["compare"]
-    sc = YieldScenario(g, r0, coeff_from_spec(spec["a"]), coeff_from_spec(spec["c"]),
-                       cfg.data["n_paths"], cfg.data["seed"])
-    report = compare_models(sc, coeff_from_spec(sec["ms_alpha"]),
-                            coeff_from_spec(sec["ms_sigma"]),
+    report = compare_models(_scenario(cfg), _build(_COEFF_KINDS, sec["ms_alpha"]),
+                            _build(_COEFF_KINDS, sec["ms_sigma"]),
                             sec["t_slices"], maturities=sec["maturities"])
     for label, corr in (("sheet-model", report.corr_spde), ("single-driver", report.corr_ms)):
         for t, m in corr.items():

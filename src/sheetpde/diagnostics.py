@@ -1,6 +1,6 @@
-"""Runnable diagnostics: existence criterion, quadratic variation, Holder
-exponents, separability, and Monte Carlo checks of the Gaussian-measure
-partition lemmas.
+"""Runnable diagnostics: quadratic variation, Holder exponents,
+separability, and Monte Carlo checks of the Gaussian-measure partition
+lemmas. The existence criterion is checked by ``solver.require_criterion``.
 
 Quadratic-variation statistics come in three flavours, all exposed
 because they measure genuinely different things:
@@ -58,8 +58,6 @@ from .grids import GridError, GridSpec, ScalarField
 from .sheet import RectRegion, SheetSample, SheetSource
 
 __all__ = [
-    "ExistenceReport",
-    "existence_check",
     "LineField",
     "build_Z",
     "build_Z_characteristic",
@@ -88,38 +86,6 @@ __all__ = [
     "partition_sup_plan",
     "PartitionSupRow",
 ]
-
-
-# ---------------------------------------------------------------------------
-# existence criterion
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExistenceReport:
-    exists: bool
-    max_deviation: float
-    location: tuple[float, float]
-    tol: float
-
-
-def existence_check(coeffs: CoefficientSet, grid: GridSpec, tol: float = 1e-9,
-                    x_values: np.ndarray | None = None) -> ExistenceReport:
-    """A function solution exists iff a = -b; reports sup |a+b| on the lattice.
-
-    The lattice is ``grid.t_values`` by ``x_values``, by default the
-    solution grid's x values; the solvers pass the sheet's, since they
-    read the coefficients along characteristics up to t_max + x_max.
-    """
-    if x_values is None:
-        x_values = grid.x_values
-    tt = grid.t_values[:, None]
-    xx = x_values[None, :]
-    dev = np.abs(coeffs.eval("a", tt, xx) + coeffs.eval("b", tt, xx))
-    i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
-    sup = float(dev[i, j])
-    return ExistenceReport(sup <= tol, sup,
-                           (float(grid.t_values[i]), float(x_values[j])), tol)
 
 
 # ---------------------------------------------------------------------------

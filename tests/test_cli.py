@@ -75,6 +75,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="grid.h must be a finite number"):
             parse_config(cfg_text(QV_CFG), overrides={"h": h})
 
+    @pytest.mark.parametrize("section, overrides", [("grid", {"h": 0.25}),
+                                                   ("tolerances", None)])
+    def test_non_object_section(self, section, overrides):
+        with pytest.raises(ConfigError, match=f"{section} must be an object"):
+            parse_config(cfg_text(dict(QV_CFG, **{section: 5})), overrides=overrides)
+
     def test_grid_divisibility_checked(self):
         bad = dict(QV_CFG, grid={"t_max": 1.0, "x_max": 1.0, "h": 0.3})
         with pytest.raises(ConfigError, match="t-axis"):
@@ -173,11 +179,122 @@ class TestParseConfig:
             parse_config(cfg_text(cfg))
         assert time.perf_counter() - started < 1.0
 
+    @pytest.mark.parametrize("section, bad, message", [
+        ("initial_curve", {"kind": "flat", "level": 0.02, "tau": 3.0, "beta0": 0.05},
+         "unknown key 'tau' at section 'initial_curve'"),
+        ("coefficients", {"a": {"kind": "t", "value": 1.0}},
+         "unknown key 'value' at section 'coefficients.a'"),
+    ])
+    def test_spec_carries_only_its_own_kinds_keys(self, section, bad, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(cfg_text(dict(SIM_CFG, **{section: bad})))
+
     def test_nelson_siegel_tau_guard(self):
         bad = dict(SIM_CFG, initial_curve={"kind": "nelson_siegel", "beta0": 0.05,
                                            "beta1": 0.0, "beta2": 0.0, "tau": -1.0})
         with pytest.raises(ConfigError, match="tau"):
             parse_config(cfg_text(bad))
+
+
+# every default written out; grid, tolerances and coefficient and curve
+# values are floats, every other section value is echoed as given
+_ECHO_BASE = {
+    "coefficients": {"a": {"kind": "const", "value": 1.0},
+                     "c": {"kind": "const", "value": 0.0}},
+    "initial_curve": {"kind": "flat", "level": 0.0},
+    "n_paths": 1000, "out_dir": "out", "seed": 0,
+    "tolerances": {"mc_sigmas": 3.0, "qv_relative": 0.1},
+}
+_G4 = {"t_max": 1, "x_max": 1, "h": 0.25}
+_G4_ECHO = {"h": 0.25, "t_max": 1.0, "x_max": 1.0}
+_G256 = {"t_max": 1, "x_max": 1, "h": 0.00390625}
+_G256_ECHO = {"h": 0.00390625, "t_max": 1.0, "x_max": 1.0}
+_QV_ECHO = {"n_seeds": 50, "n_values": [64, 128, 256], "t": 1.0, "x_hi": 1.0, "x_lo": 0.0}
+
+ECHO_CASES = {
+    "simulate": ({"command": "simulate", "grid": _G4},
+                 dict(_ECHO_BASE, command="simulate", grid=_G4_ECHO, simulate={})),
+    "qv": ({"command": "qv", "grid": _G256},
+           dict(_ECHO_BASE, command="qv", grid=_G256_ECHO, qv=_QV_ECHO,
+                coefficients=dict(_ECHO_BASE["coefficients"],
+                                  b={"kind": "const", "value": 0.0}))),
+    "weakform": ({"command": "weakform", "grid": {"t_max": 1, "x_max": 1, "h": 0.01}},
+                 dict(_ECHO_BASE, command="weakform",
+                      grid={"h": 0.01, "t_max": 1.0, "x_max": 1.0},
+                      weakform={"h_values": [0.04, 0.02, 0.01], "n_seeds": 20})),
+    "lemmas": ({"command": "lemmas", "grid": _G256},
+               dict(_ECHO_BASE, command="lemmas", grid=_G256_ECHO,
+                    lemmas={"product_n_seeds": 1000, "product_n_values": [8, 32, 128],
+                            "sup_n_seeds": 20, "sup_n_values": [4, 16, 64, 256]})),
+    "yield": ({"command": "yield", "grid": _G4},
+              dict(_ECHO_BASE, command="yield", grid=_G4_ECHO,
+                   **{"yield": {"keep_paths": False, "t_slices": [0.5, 1.0]}})),
+    "compare": ({"command": "compare", "grid": _G4},
+                dict(_ECHO_BASE, command="compare", grid=_G4_ECHO,
+                     compare={"maturities": None, "t_slices": [0.5],
+                              "ms_alpha": {"kind": "const", "value": 0.0},
+                              "ms_sigma": {"kind": "const", "value": 1.0}})),
+    "coefficient-kinds": (
+        {"command": "qv", "grid": _G256, "seed": 3, "n_paths": 7,
+         "tolerances": {"mc_sigmas": 2},
+         "coefficients": {"a": {"kind": "t+x"},
+                          "b": {"kind": "poly", "coeffs": [[1, 0.5], [2]]},
+                          "c": {"kind": "x"}},
+         "qv": {"t": 1, "n_values": [64]}},
+        dict(_ECHO_BASE, command="qv", grid=_G256_ECHO, seed=3, n_paths=7,
+             tolerances={"mc_sigmas": 2.0, "qv_relative": 0.1},
+             coefficients={"a": {"kind": "t+x"},
+                           "b": {"kind": "poly", "coeffs": [[1.0, 0.5], [2.0]]},
+                           "c": {"kind": "x"}},
+             qv=dict(_QV_ECHO, t=1, n_values=[64]))),
+    "coefficient-kinds-compare": (
+        {"command": "compare", "grid": _G4,
+         "coefficients": {"a": {"kind": "const", "value": 2},
+                          "b": {"kind": "const", "value": -2}, "c": {"kind": "t"}},
+         "compare": {"t_slices": [0, 0.75], "maturities": [1],
+                     "ms_alpha": {"kind": "x"},
+                     "ms_sigma": {"kind": "poly", "coeffs": [[1], [0, 3]]}}},
+        dict(_ECHO_BASE, command="compare", grid=_G4_ECHO,
+             coefficients={"a": {"kind": "const", "value": 2.0},
+                           "b": {"kind": "const", "value": -2.0}, "c": {"kind": "t"}},
+             compare={"t_slices": [0, 0.75], "maturities": [1],
+                      "ms_alpha": {"kind": "x"},
+                      "ms_sigma": {"kind": "poly", "coeffs": [[1.0], [0.0, 3.0]]}})),
+    "curve-flat": ({"command": "simulate", "grid": _G4,
+                    "initial_curve": {"kind": "flat", "level": 1}},
+                   dict(_ECHO_BASE, command="simulate", grid=_G4_ECHO, simulate={},
+                        initial_curve={"kind": "flat", "level": 1.0})),
+    "curve-flat-no-level": ({"command": "simulate", "grid": _G4,
+                             "initial_curve": {"kind": "flat"}},
+                            dict(_ECHO_BASE, command="simulate", grid=_G4_ECHO,
+                                 simulate={})),
+    "curve-nelson-siegel": (
+        {"command": "simulate", "grid": _G4,
+         "initial_curve": {"kind": "nelson_siegel", "beta0": 1, "beta1": 0.5,
+                           "beta2": -1, "tau": 2}},
+        dict(_ECHO_BASE, command="simulate", grid=_G4_ECHO, simulate={},
+             initial_curve={"kind": "nelson_siegel", "beta0": 1.0, "beta1": 0.5,
+                            "beta2": -1.0, "tau": 2.0})),
+    "curve-poly": ({"command": "simulate", "grid": _G4,
+                    "initial_curve": {"kind": "poly", "coeffs": [1, 0.5]}},
+                   dict(_ECHO_BASE, command="simulate", grid=_G4_ECHO, simulate={},
+                        initial_curve={"kind": "poly", "coeffs": [1.0, 0.5]})),
+    "yield-given-values": (
+        {"command": "yield", "grid": _G4, "yield": {"t_slices": [1], "keep_paths": True}},
+        dict(_ECHO_BASE, command="yield", grid=_G4_ECHO,
+             **{"yield": {"keep_paths": True, "t_slices": [1]}})),
+}
+
+
+class TestConfigEcho:
+    """The effective config: ``serialize`` writes the document below, byte
+    for byte (``1`` and ``1.0`` are different bytes)."""
+
+    @pytest.mark.parametrize("name", list(ECHO_CASES))
+    def test_effective_config_document(self, name):
+        given, expected = ECHO_CASES[name]
+        assert parse_config(cfg_text(given)).serialize() == (
+            json.dumps(expected, indent=2, sort_keys=True) + "\n")
 
 
 class TestQvPassRunsOnce:
@@ -587,7 +704,40 @@ class TestMain:
         p = self.write_cfg(tmp_path, cfg)
         assert main([command, "--config", p]) == 3
         assert "non-finite" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_run_keeps_an_existing_out_dir(self, tmp_path):
+        out = tmp_path / "kept"
+        (out / "sub").mkdir(parents=True)
+        cfg = {"command": "yield", "grid": {"t_max": 1.0, "x_max": 1.0, "h": 0.25},
+               "n_paths": 3, "out_dir": str(out),
+               "coefficients": {"a": {"kind": "const", "value": 1e308}}}
+        assert main(["yield", "--config", self.write_cfg(tmp_path, cfg)]) == 3
+        assert [p.name for p in out.iterdir()] == ["sub"]
+        (out / "sub").rmdir()
+        assert main(["yield", "--config", self.write_cfg(tmp_path, cfg)]) == 3
+        assert out.is_dir() and list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("where", ["seed", "n_paths", "grid.h", "tolerances.mc_sigmas",
+                                       "coefficients.a.value", "qv.n_seeds",
+                                       "qv.n_values.1"])
+    def test_exit_2_boolean_is_not_a_number(self, tmp_path, capsys, where):
+        out = tmp_path / "b"
+        data = json.loads(cfg_text(dict(QV_CFG, out_dir=str(out),
+                                        tolerances={"mc_sigmas": 3.0},
+                                        coefficients={"a": {"kind": "const",
+                                                            "value": 1.0}})))
+        *keys, last = where.split(".")
+        node = data
+        for key in keys:
+            node = node[key]
+        node[int(last) if isinstance(node, list) else last] = True
+        with pytest.raises(ConfigError):
+            parse_config(cfg_text(data))
+        assert main(["qv", "--config", self.write_cfg(tmp_path, data)]) == 2
+        assert where.split(".")[0] in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, text", [
         (["--h", "nan"], None),

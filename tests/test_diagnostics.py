@@ -27,21 +27,14 @@ def corner_indices(grid, cells):
 
 class TestExistenceCheck:
     def test_criterion_holds(self, unit_grid_h01):
-        rep = sp.existence_check(cs(sp.coord_t(), negate(sp.coord_t())), unit_grid_h01)
-        assert rep.exists and rep.max_deviation == 0.0
+        assert sp.require_criterion(cs(sp.coord_t(), negate(sp.coord_t())),
+                                    unit_grid_h01) is None
 
     def test_criterion_fails(self, unit_grid_h01):
-        rep = sp.existence_check(cs(sp.const(1.0), sp.const(1.0)), unit_grid_h01)
-        assert not rep.exists
-        assert rep.max_deviation == pytest.approx(2.0)
-        assert rep.location in {(t, x) for t in unit_grid_h01.t_values
-                                for x in unit_grid_h01.x_values}
-
-    def test_tolerance_semantics(self, unit_grid_h01):
-        rep = sp.existence_check(cs(sp.const(1.0), sp.const(-1.0 + 1e-9)),
-                                 unit_grid_h01, tol=1e-6)
-        assert rep.exists
-
+        # a + b = 2 everywhere: the sup is reported at the first lattice point
+        with pytest.raises(sp.ExistenceCriterionError,
+                           match=r"sup \|a \+ b\| = 2\.000e\+00 at \(t, x\) = \(0, 0\)"):
+            sp.require_criterion(cs(sp.const(1.0), sp.const(1.0)), unit_grid_h01)
 
     def test_solver_checks_the_sheet_lattice(self, unit_grid_h01):
         # a + b vanishes for x <= x_max = 1 only; the solvers read the
@@ -49,12 +42,10 @@ class TestExistenceCheck:
         b = sp.CoeffFn(lambda t, x: -np.minimum(x, 1.0) + 0.0 * t)
         coeffs = cs(sp.coord_x(), b)
         g = unit_grid_h01
-        assert sp.existence_check(coeffs, g, tol=1e-12).exists
-        rep = sp.existence_check(coeffs, g, tol=1e-12, x_values=g.sheet_x_values)
-        assert not rep.exists
-        assert rep.location == (0.0, 2.0) and rep.max_deviation == pytest.approx(1.0)
-        with pytest.raises(sp.ExistenceCriterionError,
-                           match=r"sup \|a \+ b\| = 1\.000e\+00 at \(t, x\) = \(0, 2\)"):
+        message = r"sup \|a \+ b\| = 1\.000e\+00 at \(t, x\) = \(0, 2\)"
+        with pytest.raises(sp.ExistenceCriterionError, match=message):
+            sp.require_criterion(coeffs, g)
+        with pytest.raises(sp.ExistenceCriterionError, match=message):
             sp.TransportPlan.build(g, coeffs, sp.flat_curve(0.0))
 
 
