@@ -11,20 +11,18 @@ yield curves.
 __version__ = "0.1.0"
 
 from .grids import GridError, GridSpec, ScalarField, make_grid
-from .calculus import SmoothFunction, central_diff
+from .calculus import central_diff
 from .coefficients import (CoeffFn, CoefficientSet, const, coord_sum, coord_t,
                            coord_x, polynomial)
 from .bumps import TestFunction, bump_eval, interior_bump, standard_bump_battery
 from .rng import philox_keys, stream_for_path
 from .sheet import (DiagonalPath, RectRegion, SheetSample, SheetSource, diagonal_noise,
                     rect_measure, restrict_sheet, sample_sheet)
-from .operators import (OperatorD, WeakFormPlan, adjoint_identity_residual,
-                        apply_D, apply_adjoint, weak_residual_time_equation,
-                        weak_residual_transport)
+from .operators import WeakFormPlan
 from .solver import (ExistenceCriterionError, InitialCurve, NumericalCriterionError,
                      Provenance, SolutionField, TransportPlan, flat_curve, ito_integral,
                      nelson_siegel_curve, polynomial_curve, require_criterion,
-                     solve_b_zero, solve_ito_form, solve_transport, integral_identity_sides,
+                     solve_ito_form, solve_transport, integral_identity_sides,
                      transport_solution)
 from .diagnostics import (HolderReport, LineField, PartitionPlan, QVReport, build_Z,
                           build_Z_characteristic, equal_slab_partition, holder_estimate,

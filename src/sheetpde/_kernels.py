@@ -74,12 +74,13 @@ def ito_cumsum(integrand: np.ndarray, path: np.ndarray) -> np.ndarray:
     return out
 
 
-def diag_gather(sheet: np.ndarray, n_cols: int) -> np.ndarray:
-    """Gather out[..., i, j] = sheet[..., i, i + j] for j = 0..n_cols-1."""
+def diag_gather(sheet: np.ndarray, n_cols: int, slope: int = 1) -> np.ndarray:
+    """Gather out[..., i, j] = sheet[..., i, slope*i + j] for j = 0..n_cols-1:
+    the characteristic of the given slope through each (i, j)."""
     m = sheet.shape[-2]
     i = np.arange(m)[:, None]
     j = np.arange(n_cols)[None, :]
-    return sheet[..., i, i + j]
+    return sheet[..., i, slope * i + j]
 
 
 def _strided_increments(z: np.ndarray, i0: int, i1: int, stride: int) -> np.ndarray:

@@ -8,29 +8,15 @@ stochastic integrands).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
 
 __all__ = [
-    "SmoothFunction",
     "trapz_2d",
     "central_diff",
     "default_fd_step",
 ]
-
-
-@dataclass(frozen=True)
-class SmoothFunction:
-    """A scalar function of (t, x) carrying analytic first partials.
-
-    All three callables must broadcast over numpy arrays.
-    """
-
-    value: Callable
-    d_dt: Callable
-    d_dx: Callable
 
 
 def trapz_2d(values: np.ndarray, h: float) -> float:

@@ -33,7 +33,7 @@ from .bumps import standard_bump_battery
 from .diagnostics import (QV_ESTIMATORS, partition_product_plan, partition_sup_plan,
                           qv_samples, qv_summary, run_partition_plans)
 from .grids import GridError, GridSpec, make_grid
-from .operators import OperatorD, WeakFormPlan, write_residual_records
+from .operators import WeakFormPlan, write_residual_records
 from .sheet import RectRegion, SheetSource, diagonal_noise, restrict_sheet, sample_sheet
 from .solver import (NumericalCriterionError, TransportPlan, flat_curve,
                      nelson_siegel_curve, polynomial_curve, require_criterion,
@@ -389,7 +389,10 @@ def run(cfg: RunConfig, workers: int = 1) -> list[str]:
         runner = {"simulate": _run_simulate, "qv": _run_qv, "weakform": _run_weakform,
                   "lemmas": _run_lemmas, "yield": _run_yield,
                   "compare": _run_compare}[cfg.command]
-        runner(cfg, outputs)
+        # an overflow is reported once, as exit 3 from require_finite,
+        # not also as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            runner(cfg, outputs)
         manifest = {
             "command": cfg.command,
             "seed": cfg.data["seed"],
@@ -433,6 +436,8 @@ def _run_qv(cfg: RunConfig, outputs: _Outputs) -> None:
     n_values = sec["n_values"]
     seed = cfg.data["seed"]
     samples = qv_samples(coeffs, g, t, x_lo, x_hi, n_values, seed, sec["n_seeds"])
+    for (est, n), values in samples.values.items():
+        require_finite(f"{est} QV at n = {n}", values)
 
     n_max = max(n_values)
     tol = cfg.data["tolerances"]["qv_relative"]
@@ -440,6 +445,8 @@ def _run_qv(cfg: RunConfig, outputs: _Outputs) -> None:
     reports = {est: qv_summary(coeffs, t, x_lo, x_hi, n_max, samples.values[est, n_max],
                                seed, est)
                for est in QV_ESTIMATORS}
+    for est in QV_ESTIMATORS:
+        require_finite(f"{est} QV target", reports[est].theoretical_qv)
 
     def within(rep) -> bool:
         # the diagonal statistic does not concentrate, so its seed mean is
@@ -478,7 +485,6 @@ def _run_weakform(cfg: RunConfig, outputs: _Outputs) -> None:
     coeffs = _coefficient_set(cfg.data["coefficients"])
     _, r0 = _grid_curve(cfg)
     fine_grid = make_grid(g_cfg["t_max"], g_cfg["x_max"], h_fine)
-    op = OperatorD(coeffs)
     factors = {h: round(h / h_fine) for h in hs}
     # built before the plans, so its small long-lived buffers do not sit
     # above their large ones on the heap: built after them, peak RSS on
@@ -490,7 +496,7 @@ def _run_weakform(cfg: RunConfig, outputs: _Outputs) -> None:
     for h in hs:
         g = fine_grid.coarsen(factors[h])
         plans[h] = (TransportPlan.build(g, coeffs, r0),
-                    WeakFormPlan.build(g, op, standard_bump_battery(g)))
+                    WeakFormPlan.build(g, coeffs, standard_bump_battery(g)))
     records = []
     medians = {h: [] for h in hs}
     corrupt_fine = []

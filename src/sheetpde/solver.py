@@ -1,35 +1,34 @@
-"""Constructive solutions of the first-order stochastic PDEs.
+"""Constructive solutions of the first-order stochastic PDEs
 
-Three solvers are provided, and a plan that holds the path-invariant
-part of the transport solution:
+    dU/dt - s dU/dx = D W,   D W = a dW/dt + b dW/dx + c W,
 
-* ``solve_b_zero`` for dU/dt = D W when the b coefficient vanishes:
-      U(t,x) = U0(x) + a(t,x)W(t,x) - a(0,x)W(0,x)
-               + int_0^t (c - da/dt)(s,x) W(s,x) ds.
+for the characteristic slope s = 0 (dU/dt = D W, solved along the lines
+x = const) and s = 1 (the transport equation dr/dt - dr/dx = D W, solved
+along the lines t + x = const). A function solution exists if and only
+if s a + b = 0: b = 0 for s = 0, and b = -a for s = 1.
 
-* ``solve_transport`` for dr/dt - dr/dx = D W when b = -a. The noise and
-  the coefficient bracket are integrated along the transport
-  characteristic t + x = const (the change of variables tau = t,
+* ``TransportPlan`` compiles (grid, coefficients, r0, s) once: the
+  criterion check, a on the grid, the characteristic bracket and
+  r0(s t + x). The solution is then a fixed linear map of the noise V on
+  the characteristic lattice, W(t,x) = V(t, s t + x):
+      U(t,x) = a(t,x) W(t,x)
+               + int_0^t V(u, s t + x) [s da/dx - da/dt + c](u, s t + x - s u) du
+               + r0(s t + x).
+  For s = 1, V is the sheet: the change of variables tau = t,
   xi = t + x reduces the equation to d rho/d tau = alpha dV/d tau +
-  gamma V at fixed xi, and V(s, xi) = B(s, xi) for sheet noise):
-      r(t,x) = a(t,x) W(t,x)
-               + int_0^t B(s, t+x) [da/dx - da/dt + c](s, t+x-s) ds
-               + r0(t+x).
+  gamma V at fixed xi, and V(u, xi) = B(u, xi) for sheet noise. For
+  s = 0, V is the noise W on the grid itself. ``solve_transport`` is an
+  s = 1 plan built for one sheet.
 
-* ``solve_ito_form``, the same solution written with a Wiener-Ito
-  (left-endpoint) integral against the martingale s -> B(s, t+x):
-      r(t,x) = int_0^t a(s, t+x-s) dB(s, t+x)
-               + int_0^t B(s, t+x) c(s, t+x-s) ds + r0(t+x).
+* ``solve_ito_form``, the s = 1 solution written with a Wiener-Ito
+  (left-endpoint) integral against the martingale u -> B(u, t+x):
+      r(t,x) = int_0^t a(u, t+x-u) dB(u, t+x)
+               + int_0^t B(u, t+x) c(u, t+x-u) du + r0(t+x).
 
-* ``TransportPlan`` compiles (grid, coefficients, r0) once: the criterion
-  check, a on the grid, the characteristic bracket and r0(t+x). The
-  solution is then a fixed linear map of the sheet, applied to one sheet
-  or to a stack of sheets; ``solve_transport`` is a plan built for one
-  sheet.
-
-Substituting either r into the equation reproduces it exactly for any
-smooth noise with W(0, .) = 0; the two discretizations converge to each
-other pathwise at rate O(h) (discrete integration by parts).
+Substituting either solution into its equation reproduces it exactly for
+any smooth noise with W(0, .) = 0; the two discretizations of s = 1
+converge to each other pathwise at rate O(h) (discrete integration by
+parts).
 """
 
 from __future__ import annotations
@@ -58,13 +57,15 @@ __all__ = [
     "TransportPlan",
     "transport_solution",
     "integral_identity_sides",
-    "solve_b_zero",
     "solve_transport",
     "ito_integral",
     "solve_ito_form",
 ]
 
 _B_TOL = 1e-12
+# the criterion s a + b = 0 of each characteristic slope s, and the
+# deviation it bounds
+_CRITERIA = {0: ("b(t,x) = 0", "|b|"), 1: ("a(t,x) = -b(t,x)", "|a + b|")}
 
 
 class NumericalCriterionError(ValueError):
@@ -73,7 +74,8 @@ class NumericalCriterionError(ValueError):
 
 
 class ExistenceCriterionError(NumericalCriterionError):
-    """Raised when coefficients violate the function-solution criterion a = -b."""
+    """Raised when coefficients violate the function-solution criterion
+    s a + b = 0 of their characteristic slope s."""
 
 
 def require_finite(label: str, values) -> None:
@@ -188,23 +190,37 @@ class SolutionField:
         lattice_to_csv(path, self.grid.t_values, self.grid.x_values, self.values)
 
 
-def _initial_values_on_diagonals(r0: InitialCurve, grid: GridSpec) -> np.ndarray:
-    """Matrix r0(t_i + x_j); validates that r0 is defined up to t_max + x_max."""
+def _check_slope(slope: int) -> None:
+    if type(slope) is not int or slope not in _CRITERIA:
+        raise ValueError(f"characteristic slope must be 0 or 1, got {slope!r}")
+
+
+def _columns(grid: GridSpec, slope: int) -> np.ndarray:
+    """x-coordinates of the characteristic lattice of a slope: the grid's
+    own for 0, the sheet's (up to t_max + x_max) for 1."""
+    _check_slope(slope)
+    return np.arange(grid.n_x + slope * grid.n_t + 1) * grid.h
+
+
+def _initial_values_on_characteristics(r0: InitialCurve, grid: GridSpec,
+                                       slope: int = 1) -> np.ndarray:
+    """Matrix r0(slope*t_i + x_j); validates that r0 is defined up to
+    slope*t_max + x_max."""
+    x_hi = grid.x_max + slope * grid.t_max
     try:
-        line = r0.eval(grid.sheet_x_values)
+        line = r0.eval(_columns(grid, slope))
     except Exception as exc:
-        raise ValueError(
-            f"initial curve must be evaluable on [0, {grid.sheet_x_max!r}]") from exc
+        raise ValueError(f"initial curve must be evaluable on [0, {x_hi!r}]") from exc
     if not np.all(np.isfinite(line)):
-        raise ValueError(f"initial curve is not finite on [0, {grid.sheet_x_max!r}]")
+        raise ValueError(f"initial curve is not finite on [0, {x_hi!r}]")
     i = np.arange(grid.n_t + 1)[:, None]
     j = np.arange(grid.n_x + 1)[None, :]
-    return line[i + j]
+    return line[slope * i + j]
 
 
 def transport_solution(grid: GridSpec, r0: InitialCurve) -> SolutionField:
     """The noiseless solution r(t, x) = r0(t + x) of dr/dt - dr/dx = 0."""
-    return SolutionField(grid, _initial_values_on_diagonals(r0, grid),
+    return SolutionField(grid, _initial_values_on_characteristics(r0, grid),
                          Provenance("transport"))
 
 
@@ -252,112 +268,94 @@ def integral_identity_sides(coeffs: CoefficientSet, U: ScalarField, W: ScalarFie
     return lhs, term_t + term_x + term_double
 
 
-def solve_b_zero(coeffs: CoefficientSet, U0: Callable, W: ScalarField) -> SolutionField:
-    """Function solution of dU/dt = D W when b vanishes identically.
-
-    U(t,x) = U0(x) + a(t,x)W(t,x) - a(0,x)W(0,x)
-             + int_0^t (c - da/dt)(s,x) W(s,x) ds.
-    """
-    g = W.grid
-    tt = g.t_values[:, None]
-    xx = g.x_values[None, :]
-    b_sup = float(np.max(np.abs(coeffs.eval("b", tt, xx))))
-    if b_sup > _B_TOL:
-        raise ExistenceCriterionError(
-            f"solve_b_zero requires b == 0 (sup |b| = {b_sup:.3e}); for b = -a use "
-            "solve_transport -- a function solution exists only when a(t,x) = -b(t,x)")
-    Wv = W.values
-    a_grid = coeffs.eval("a", tt, xx)
-    weight = coeffs.eval("c", tt, xx) - coeffs.partial("a", "t", tt, xx)
-    integral = _kernels.cumtrapz(np.ascontiguousarray(weight * Wv), g.h)
-    U0_line = np.broadcast_to(np.asarray(U0(g.x_values), dtype=np.float64),
-                              (g.n_x + 1,))
-    values = U0_line[None, :] + a_grid * Wv - (a_grid[0] * Wv[0])[None, :] + integral
-    return SolutionField(g, values, Provenance("b_zero"))
-
-
 # ---------------------------------------------------------------------------
-# transport solvers (diagonal sheet noise, b = -a)
+# the solution plan of both slopes, and the Wiener-Ito transport solver
 # ---------------------------------------------------------------------------
 
 
-def require_criterion(coeffs: CoefficientSet, grid: GridSpec) -> None:
-    """ExistenceCriterionError unless sup |a + b| <= 1e-12 on the sheet
-    lattice (``grid.t_values`` by ``grid.sheet_x_values``): the one check
-    of the criterion a = -b, made by the solvers and by config validation.
+def require_criterion(coeffs: CoefficientSet, grid: GridSpec, slope: int = 1) -> None:
+    """ExistenceCriterionError unless sup |slope*a + b| <= 1e-12 on the
+    characteristic lattice (``grid.t_values`` by the slope's columns, the
+    sheet's for slope 1): the one check of the criterion, b = 0 for slope 0
+    and a = -b for slope 1, made by the solvers and by config validation.
     """
-    t, x = grid.t_values, grid.sheet_x_values
-    dev = np.abs(coeffs.eval("a", t[:, None], x[None, :])
+    t, x = grid.t_values, _columns(grid, slope)
+    dev = np.abs(slope * coeffs.eval("a", t[:, None], x[None, :])
                  + coeffs.eval("b", t[:, None], x[None, :]))
     i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
     if not dev[i, j] <= _B_TOL:   # a NaN deviation fails too
+        rule, deviation = _CRITERIA[slope]
         raise ExistenceCriterionError(
-            "a function solution exists if and only if a(t,x) = -b(t,x); "
-            f"sup |a + b| = {dev[i, j]:.3e} at (t, x) = ({t[i]:g}, {x[j]:g})")
+            f"a function solution exists if and only if {rule}; "
+            f"sup {deviation} = {dev[i, j]:.3e} at (t, x) = ({t[i]:g}, {x[j]:g})")
 
 
-def _characteristic_args(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(t, x) argument arrays over (time index, sheet column index).
+def _characteristic_args(grid: GridSpec, slope: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(t, x) argument arrays over (time index, characteristic column index).
 
-    Entry (i, m) is the characteristic point (t_i, m*h - t_i). Entries
-    with m < i are never read by the solvers (reads happen at
-    m = i + j >= i); their x-argument is clamped to 0 to keep arbitrary
-    coefficient callables safe.
+    Entry (i, m) is the characteristic point (t_i, m*h - slope*t_i).
+    Entries with m < slope*i are never read by the solvers (reads happen
+    at m = slope*i + j); their x-argument is clamped to 0 to keep
+    arbitrary coefficient callables safe.
     """
     tt = grid.t_values[:, None]
-    xarg = np.maximum(grid.sheet_x_values[None, :] - tt, 0.0)
+    xarg = np.maximum(_columns(grid, slope)[None, :] - slope * tt, 0.0)
     return np.broadcast_to(tt, xarg.shape), xarg
 
 
 @dataclass(frozen=True, eq=False)
 class TransportPlan:
-    """The closed-form solution of dr/dt - dr/dx = D W (b = -a) as a linear
-    map of the sheet S:
+    """The closed-form solution of dU/dt - s dU/dx = D W (s a + b = 0) as a
+    linear map of the noise S on the characteristic lattice of slope s:
 
-        r = a W + gather(cumtrapz(bracket * S)) + r0(t+x),
+        U = a W + gather(cumtrapz(bracket * S)) + r0(s t + x),
 
-    where W(t_i, x_j) = S(t_i, t_i + x_j), the bracket da/dx - da/dt + c is
-    sampled along the characteristics through each sheet column, and the
-    gather reads the integral on the characteristic through (t_i, x_j).
-    Everything but S is fixed by (grid, coefficients, r0), so it is
-    computed once, when the plan is built; the arrays are read-only.
+    where W(t_i, x_j) = S(t_i, s t_i + x_j), the bracket
+    s da/dx - da/dt + c is sampled along the characteristics through each
+    column of S, and the gather reads the integral on the characteristic
+    through (t_i, x_j). For s = 1 (the default) S is the sheet, with
+    n_x + n_t + 1 columns; for s = 0 it is the noise W on the grid, and it
+    must vanish at t = 0, as a sheet's does. Everything but S is fixed by
+    (grid, coefficients, r0, s), so it is computed once, when the plan is
+    built; the arrays are read-only.
     """
 
     grid: GridSpec
     a: np.ndarray          # a(t_i, x_j), (n_t+1, n_x+1)
-    bracket: np.ndarray    # (da/dx - da/dt + c)(t_i, m h - t_i), (n_t+1, n_sheet_x+1)
-    r0_diag: np.ndarray    # r0(t_i + x_j), (n_t+1, n_x+1)
+    bracket: np.ndarray    # (s da/dx - da/dt + c)(t_i, m h - s t_i), (n_t+1, n_x+s n_t+1)
+    r0_diag: np.ndarray    # r0(s t_i + x_j), (n_t+1, n_x+1)
+    slope: int = 1
 
     @classmethod
-    def build(cls, grid: GridSpec, coeffs: CoefficientSet,
-              r0: InitialCurve) -> "TransportPlan":
-        """Check the criterion a = -b and that r0 is finite, then sample the
-        coefficients and r0 on the lattice."""
-        require_criterion(coeffs, grid)
-        r0_diag = _initial_values_on_diagonals(r0, grid)
+    def build(cls, grid: GridSpec, coeffs: CoefficientSet, r0: InitialCurve,
+              slope: int = 1) -> "TransportPlan":
+        """Check the criterion slope*a + b = 0 and that r0 is finite, then
+        sample the coefficients and r0 on the lattice."""
+        require_criterion(coeffs, grid, slope)
+        r0_diag = _initial_values_on_characteristics(r0, grid, slope)
         # a copy: the coefficient may return an array its caller still owns
         a = np.array(coeffs.eval("a", grid.t_values[:, None], grid.x_values[None, :]))
-        T_arg, X_arg = _characteristic_args(grid)
-        bracket = (coeffs.partial("a", "x", T_arg, X_arg)
+        T_arg, X_arg = _characteristic_args(grid, slope)
+        bracket = (slope * coeffs.partial("a", "x", T_arg, X_arg)
                    - coeffs.partial("a", "t", T_arg, X_arg)
                    + coeffs.eval("c", T_arg, X_arg))
         for arr in (a, bracket, r0_diag):
             arr.flags.writeable = False
-        return cls(grid, a, bracket, r0_diag)
+        return cls(grid, a, bracket, r0_diag, slope)
 
     def solve(self, S: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Solution values for one sheet (n_t+1, n_sheet_x+1) or a stack
-        (batch, n_t+1, n_sheet_x+1); ``out`` may be preallocated.
+        """Solution values for one noise array (n_t+1, n_x+s n_t+1) or a
+        stack (batch, n_t+1, n_x+s n_t+1); ``out`` may be preallocated.
 
-        Each sheet of a stack gives values bit-identical to solving it alone.
+        Each array of a stack gives values bit-identical to solving it alone.
         """
         if S.ndim not in (2, 3) or S.shape[-2:] != self.bracket.shape:
             raise GridError(f"sheet shape {S.shape} does not match the plan's lattice")
         n_cols = self.grid.n_x + 1
         folded = np.multiply(self.bracket, S)
         _kernels.cumtrapz(folded, self.grid.h, out=folded)
-        out = np.multiply(self.a, _kernels.diag_gather(S, n_cols), out=out)
-        out += _kernels.diag_gather(folded, n_cols)
+        out = np.multiply(self.a, _kernels.diag_gather(S, n_cols, self.slope), out=out)
+        out += _kernels.diag_gather(folded, n_cols, self.slope)
         out += self.r0_diag
         return out
 
@@ -366,7 +364,7 @@ class TransportPlan:
             raise GridError("diagonal path and plan live on different grids")
 
     def solution(self, W: DiagonalPath) -> SolutionField:
-        """The closed-form solution driven by the sheet behind W."""
+        """The closed-form solution driven by the sheet behind W (slope 1)."""
         self._check_path(W)
         return SolutionField(self.grid, self.solve(W.sheet_values),
                              Provenance("closed_form", seed=W.seed))
@@ -415,7 +413,7 @@ def solve_ito_form(coeffs: CoefficientSet, r0: InitialCurve,
     """
     g = path.grid
     require_criterion(coeffs, g)
-    r0_diag = _initial_values_on_diagonals(r0, g)
+    r0_diag = _initial_values_on_characteristics(r0, g)
 
     T_arg, X_arg = _characteristic_args(g)
     a_char = coeffs.eval("a", T_arg, X_arg)

@@ -22,7 +22,7 @@ import pytest
 
 import sheetpde as sp
 from sheetpde.cli import parse_config, run
-from sheetpde.operators import OperatorD, weak_residual_transport
+from sheetpde.operators import WeakFormPlan
 from sheetpde.yield_curve import negate
 
 
@@ -180,7 +180,6 @@ def test_criterion_3_representation_equivalence():
 def test_criterion_4_weak_form_validation():
     coeffs = sp.CoefficientSet(a=sp.coord_t(), b=negate(sp.coord_t()),
                                c=sp.const(0.0))
-    op = OperatorD(coeffs)
     r0 = sp.flat_curve(0.0)
     fine = sp.make_grid(1.0, 1.0, 0.01)
     med = {0.04: [], 0.02: [], 0.01: []}
@@ -191,13 +190,11 @@ def test_criterion_4_weak_form_validation():
             sheet = sp.restrict_sheet(sheet_f, fac) if fac > 1 else sheet_f
             W = sp.diagonal_noise(sheet)
             r = sp.solve_transport(coeffs, r0, W)
-            battery = sp.standard_bump_battery(sheet.grid)
-            med[h].append(float(np.median(
-                [weak_residual_transport(r, W, op, tf) for tf in battery])))
+            weak = WeakFormPlan.build(sheet.grid, coeffs, sp.standard_bump_battery(sheet.grid))
+            med[h].append(float(np.median(weak.residuals(r, W))))
             if fac == 1:
                 bad = sp.TransportPlan.build(W.grid, coeffs, r0).corrupted_solution(W)
-                med_bad.append(float(np.median(
-                    [weak_residual_transport(bad, W, op, tf) for tf in battery])))
+                med_bad.append(float(np.median(weak.residuals(bad, W))))
     m = {h: float(np.median(v)) for h, v in med.items()}
     ratio = float(np.median(med_bad)) / m[0.01]
     ok = m[0.04] > m[0.02] > m[0.01] and ratio >= 10.0
@@ -213,15 +210,17 @@ def test_criterion_4_weak_form_validation():
 def test_criterion_5_identity():
     coeffs = sp.CoefficientSet(a=sp.coord_t(), b=sp.const(0.0), c=sp.coord_x())
     xfine = sp.make_grid(1.0, 1.0, 0.005)
+    # dU/dt = D W is the plan of characteristic slope 0, driven by W itself
+    plan = sp.TransportPlan.build(xfine, coeffs, sp.flat_curve(0.0), slope=0)
     gaps_all = []
     for k in range(10):
         Wf = sp.diagonal_noise(sp.sample_sheet(xfine, 818, path_index=k)
                                ).as_scalar_field()
-        Uf = sp.solve_b_zero(coeffs, lambda x: 0.0 * x, Wf)
+        Uf = plan.solve(Wf.values)
         gaps = []
         for fac in (8, 4, 2):
             cg = xfine.coarsen(fac)
-            Uc = sp.ScalarField(cg, Uf.values[::fac, ::fac].copy())
+            Uc = sp.ScalarField(cg, Uf[::fac, ::fac].copy())
             Wc = sp.ScalarField(cg, Wf.values[::fac, ::fac].copy())
             lhs, rhs = sp.integral_identity_sides(coeffs, Uc, Wc, 1.0, 1.0)
             gaps.append(abs(lhs - rhs))
@@ -235,9 +234,8 @@ def test_criterion_5_identity():
     for h in (0.1, 0.05, 0.025):
         g = sp.make_grid(1.0, 1.0, h)
         W = sp.ScalarField.from_function(g, lambda t, x: t * x)
-        U = sp.solve_b_zero(coeffs_det, lambda x: 0.0 * x, W)
-        _, rhs = sp.integral_identity_sides(coeffs_det,
-                                            sp.ScalarField(g, U.values), W, 1.0, 1.0)
+        U = sp.TransportPlan.build(g, coeffs_det, sp.flat_curve(0.0), slope=0).solve(W.values)
+        _, rhs = sp.integral_identity_sides(coeffs_det, sp.ScalarField(g, U), W, 1.0, 1.0)
         oracle_ok &= abs(rhs - 0.5) <= h * h
     report(5, decreasing and oracle_ok,
            f"identity gap medians {meds[0]:.2e} > {meds[1]:.2e} > {meds[2]:.2e} "

@@ -486,7 +486,7 @@ class TestRun:
 
     def test_weakform_residuals_match_per_test_function_loop(self, tmp_path):
         import sheetpde as sp
-        from sheetpde.operators import weak_residual_transport, write_residual_records
+        from sheetpde.operators import WeakFormPlan, write_residual_records
 
         wcfg = {
             "command": "weakform",
@@ -499,7 +499,6 @@ class TestRun:
         }
         run(parse_config(cfg_text(wcfg)))
         coeffs = sp.CoefficientSet(a=sp.coord_x(), b=negate(sp.coord_x()), c=sp.const(0.3))
-        op = sp.OperatorD(coeffs)
         r0 = sp.nelson_siegel_curve(0.05, -0.02, 0.01, 1.5)
         fine = sp.make_grid(1.0, 1.0, 0.025)
         records = []
@@ -517,7 +516,8 @@ class TestRun:
                 for variant, r in variants:
                     for tf_id, tf in enumerate(battery):
                         records.append({"h": h, "seed": seed_idx, "test_function_id": tf_id,
-                                        "residual": weak_residual_transport(r, W, op, tf),
+                                        "residual": WeakFormPlan.build(
+                                            sheet.grid, coeffs, [tf]).residuals(r, W)[0],
                                         "variant": variant})
         write_residual_records(tmp_path / "loop.json", records)
         assert ((tmp_path / "w" / "residuals.json").read_bytes()
@@ -689,13 +689,16 @@ class TestMain:
         assert "--workers" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command, extra", [
         ("yield", {"grid": {"t_max": 1.0, "x_max": 1.0, "h": 0.125}, "n_paths": 10}),
         ("simulate", {"grid": {"t_max": 4.0, "x_max": 4.0, "h": 0.25}}),
         ("compare", {"grid": {"t_max": 1.0, "x_max": 1.0, "h": 0.125}, "n_paths": 10}),
         ("weakform", {"grid": {"t_max": 1.0, "x_max": 1.0, "h": 0.125},
                       "weakform": {"h_values": [0.25, 0.125], "n_seeds": 2}}),
+        ("qv", {"grid": {"t_max": 1.0, "x_max": 1.0, "h": 0.0625},
+                "coefficients": {"a": {"kind": "const", "value": 1e200}},
+                "qv": {"t": 1.0, "x_lo": 0.0, "x_hi": 1.0, "n_values": [4, 8, 16],
+                       "n_seeds": 3}}),
     ])
     def test_exit_3_non_finite_result(self, tmp_path, capsys, command, extra):
         out = tmp_path / "overflow"
@@ -706,7 +709,6 @@ class TestMain:
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_run_keeps_an_existing_out_dir(self, tmp_path):
         out = tmp_path / "kept"
         (out / "sub").mkdir(parents=True)

@@ -289,9 +289,9 @@ class TestSeparability:
     def test_bracket_field_of_solution_is_separable(self, unit_grid_h01):
         coeffs = cs(sp.coord_t(), sp.const(0.0), sp.coord_x())
         W = sp.diagonal_noise(sp.sample_sheet(unit_grid_h01, 21)).as_scalar_field()
-        U = sp.solve_b_zero(coeffs, lambda x: 0.0 * x, W)
-        g_field = sp.weak_bracket_field(coeffs, sp.ScalarField(unit_grid_h01,
-                                                                   U.values), W)
+        U = sp.TransportPlan.build(unit_grid_h01, coeffs, sp.flat_curve(0.0),
+                                   slope=0).solve(W.values)
+        g_field = sp.weak_bracket_field(coeffs, sp.ScalarField(unit_grid_h01, U), W)
         assert sp.separability_residual(g_field) <= 1e-10
 
     def test_bracket_field_of_non_solution_is_not(self, unit_grid_h01):

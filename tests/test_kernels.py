@@ -35,6 +35,7 @@ def test_diag_gather():
     out = K.diag_gather(VALS, 31)
     assert out.shape == (41, 31)
     assert out[5, 7] == VALS[5, 12]
+    assert np.array_equal(K.diag_gather(VALS, 31, slope=0), VALS[:, :31])
 
 
 def test_strided_reductions():

@@ -16,6 +16,11 @@ def noise(grid, seed=5, path=0):
     return sp.diagonal_noise(sp.sample_sheet(grid, seed, path_index=path))
 
 
+def solve_time_equation(coeffs, U0, W):
+    """The slope-0 plan's solution of dU/dt = D W for noise W on the grid."""
+    return sp.TransportPlan.build(W.grid, coeffs, U0, slope=0).solve(W.values)
+
+
 class TestInitialCurves:
     def test_flat(self):
         r0 = sp.flat_curve(0.04)
@@ -64,9 +69,8 @@ class TestIntegralIdentitySides:
         for h in (0.1, 0.05, 0.025):
             g = sp.make_grid(1.0, 1.0, h)
             W = sp.ScalarField.from_function(g, lambda t, x: t * x)
-            U = sp.solve_b_zero(coeffs, lambda x: 0.0 * x, W)
-            lhs, rhs = sp.integral_identity_sides(
-                coeffs, sp.ScalarField(g, U.values), W, 1.0, 1.0)
+            U = solve_time_equation(coeffs, sp.flat_curve(0.0), W)
+            lhs, rhs = sp.integral_identity_sides(coeffs, sp.ScalarField(g, U), W, 1.0, 1.0)
             assert abs(rhs - 0.5) <= h * h          # trapezoid exact on bilinear
             assert abs(lhs - rhs) <= 1e-12
 
@@ -74,23 +78,24 @@ class TestIntegralIdentitySides:
         # the constructed b=0 solution satisfies the lattice identity to rounding
         coeffs = cs(sp.coord_t(), sp.const(0.0), sp.coord_x())
         W = noise(unit_grid_h01).as_scalar_field()
-        U = sp.solve_b_zero(coeffs, lambda x: 0.0 * x, W)
+        U = solve_time_equation(coeffs, sp.flat_curve(0.0), W)
         lhs, rhs = sp.integral_identity_sides(
-            coeffs, sp.ScalarField(unit_grid_h01, U.values), W, 1.0, 1.0)
+            coeffs, sp.ScalarField(unit_grid_h01, U), W, 1.0, 1.0)
         assert abs(lhs - rhs) <= 1e-12
 
     def test_gap_decreases_for_restricted_fine_solution(self):
         # solve once at h=0.005, evaluate the identity on coarser lattices
         coeffs = cs(sp.coord_t(), sp.const(0.0), sp.coord_x())
         xfine = sp.make_grid(1.0, 1.0, 0.005)
+        plan = sp.TransportPlan.build(xfine, coeffs, sp.flat_curve(0.0), slope=0)
         gaps_all = []
         for k in range(6):
             Wf = noise(xfine, 818, k).as_scalar_field()
-            Uf = sp.solve_b_zero(coeffs, lambda x: 0.0 * x, Wf)
+            Uf = plan.solve(Wf.values)
             gaps = []
             for fac in (8, 4, 2):
                 cg = xfine.coarsen(fac)
-                Uc = sp.ScalarField(cg, Uf.values[::fac, ::fac].copy())
+                Uc = sp.ScalarField(cg, Uf[::fac, ::fac].copy())
                 Wc = sp.ScalarField(cg, Wf.values[::fac, ::fac].copy())
                 lhs, rhs = sp.integral_identity_sides(coeffs, Uc, Wc, 1.0, 1.0)
                 gaps.append(abs(lhs - rhs))
@@ -106,19 +111,20 @@ class TestIntegralIdentitySides:
 
 
 class TestSolveBZero:
+    """dU/dt = D W with b = 0: the plan of characteristic slope 0."""
+
     def test_unit_a(self, unit_grid_h01):
         coeffs = cs(sp.const(1.0), sp.const(0.0), sp.const(0.0))
         W = noise(unit_grid_h01).as_scalar_field()
-        U0 = lambda x: 2.0 + 0 * x
-        U = sp.solve_b_zero(coeffs, U0, W)
+        U = solve_time_equation(coeffs, sp.flat_curve(2.0), W)
         expected = 2.0 + W.values - W.values[0][None, :]
-        assert np.allclose(U.values, expected, atol=1e-14)
+        assert np.allclose(U, expected, atol=1e-14)
 
     def test_zero_noise(self, unit_grid_h01):
         coeffs = cs(sp.coord_sum(), sp.const(0.0), sp.coord_x())
         W0 = sp.ScalarField(unit_grid_h01, np.zeros((11, 11)))
-        U = sp.solve_b_zero(coeffs, lambda x: np.sin(x), W0)
-        assert np.allclose(U.values, np.sin(unit_grid_h01.x_values)[None, :].repeat(11, 0),
+        U = solve_time_equation(coeffs, sp.InitialCurve(np.sin), W0)
+        assert np.allclose(U, np.sin(unit_grid_h01.x_values)[None, :].repeat(11, 0),
                            atol=1e-14)
 
     def test_pure_multiplication(self, unit_grid_h01):
@@ -126,23 +132,33 @@ class TestSolveBZero:
         g = unit_grid_h01
         coeffs = cs(sp.const(0.0), sp.const(0.0), sp.const(1.0))
         W = noise(g).as_scalar_field()
-        U = sp.solve_b_zero(coeffs, lambda x: 0.0 * x, W)
+        U = solve_time_equation(coeffs, sp.flat_curve(0.0), W)
         expected = np.zeros_like(W.values)
         for i in range(1, g.n_t + 1):
             expected[i] = expected[i - 1] + g.h * (W.values[i] + W.values[i - 1]) / 2
-        assert np.allclose(U.values, expected, atol=1e-13)
+        assert np.allclose(U, expected, atol=1e-13)
+
+    def test_matches_the_closed_form(self, unit_grid_h01):
+        # U = U0 + a W + int_0^t (c - da/dt) W ds with a = t x + t^2, c = x
+        g = unit_grid_h01
+        a = sp.polynomial([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        coeffs = cs(a, sp.const(0.0), sp.coord_x())
+        W = noise(g, seed=9).as_scalar_field()
+        U = solve_time_equation(coeffs, sp.polynomial_curve([0.1, 0.2]), W)
+        tt, xx = g.t_values[:, None], g.x_values[None, :]
+        weight = (xx - (xx + 2 * tt)) * W.values
+        integral = np.zeros_like(weight)
+        for i in range(1, g.n_t + 1):
+            integral[i] = integral[i - 1] + g.h * (weight[i] + weight[i - 1]) / 2
+        expected = 0.1 + 0.2 * xx + (tt * xx + tt * tt) * W.values + integral
+        assert np.allclose(U, expected, rtol=0.0, atol=1e-14)
 
     def test_refuses_nonzero_b(self, unit_grid_h01):
         coeffs = cs(sp.const(1.0), sp.const(0.5), sp.const(0.0))
         W = noise(unit_grid_h01).as_scalar_field()
-        with pytest.raises(ExistenceCriterionError, match="a\\(t,x\\) = -b\\(t,x\\)"):
-            sp.solve_b_zero(coeffs, lambda x: 0.0 * x, W)
-
-    def test_provenance(self, unit_grid_h01):
-        coeffs = cs(sp.const(1.0), sp.const(0.0), sp.const(0.0))
-        W = noise(unit_grid_h01).as_scalar_field()
-        U = sp.solve_b_zero(coeffs, lambda x: 0.0 * x, W)
-        assert U.provenance.formula == "b_zero"
+        with pytest.raises(ExistenceCriterionError,
+                           match=r"if and only if b\(t,x\) = 0; sup \|b\| = 5\.000e-01"):
+            solve_time_equation(coeffs, sp.flat_curve(0.0), W)
 
 
 class TestSolveTransport:
@@ -310,6 +326,23 @@ class TestTransportPlan:
         with pytest.raises(ValueError, match="not finite"):
             sp.TransportPlan.build(unit_grid_h01, cs(sp.const(1.0), sp.const(-1.0),
                                                      sp.const(0.0)), bad_r0)
+
+    @pytest.mark.parametrize("slope", [-1, 2, 1.0, True])
+    def test_only_slopes_0_and_1(self, setup, slope):
+        g, coeffs, r0, _ = setup
+        with pytest.raises(ValueError, match="slope must be 0 or 1"):
+            sp.TransportPlan.build(g, coeffs, r0, slope)
+
+    def test_slope_0_reads_the_noise_on_the_grid(self, setup):
+        g, _, r0, _ = setup
+        coeffs = cs(sp.coord_t(), sp.const(0.0), sp.const(0.3))
+        plan = sp.TransportPlan.build(g, coeffs, r0, slope=0)
+        assert plan.bracket.shape == (g.n_t + 1, g.n_x + 1)
+        assert np.array_equal(plan.r0_diag, np.broadcast_to(r0.eval(g.x_values), (11, 11)))
+        W = noise(g)
+        assert np.array_equal(plan.solve(W.values)[0], r0.eval(g.x_values))
+        with pytest.raises(GridError):
+            plan.solve(W.sheet_values)
 
     def test_rejects_foreign_sheets(self, setup, unit_grid_h025):
         plan = setup[3]
