@@ -20,7 +20,7 @@ from .sheet import (DiagonalPath, RectRegion, SheetSample, SheetSource, diagonal
                     rect_measure, restrict_sheet, sample_sheet)
 from .operators import WeakFormPlan
 from .solver import (ExistenceCriterionError, InitialCurve, NumericalCriterionError,
-                     Provenance, SolutionField, TransportPlan, flat_curve, ito_integral,
+                     Provenance, SolutionField, TransportPlan, flat_curve,
                      nelson_siegel_curve, polynomial_curve, require_criterion,
                      solve_ito_form, solve_transport, integral_identity_sides,
                      transport_solution)

@@ -13,6 +13,8 @@ from typing import Callable
 
 import numpy as np
 
+from ._kernels import _SLOT, format_g17
+
 __all__ = [
     "GridError",
     "GridSpec",
@@ -131,26 +133,67 @@ class ScalarField:
         lattice_to_csv(path, self.grid.t_values, self.grid.x_values, self.values)
 
 
+# Cells per call of the CSV kernel; a constant, not a setting. On a 2-core
+# Xeon host a 513 x 1026 lattice took 92-99 ms of CPU at 16k cells per call
+# and 223-232 ms at 32k. Over six weakform + simulate runs in one process,
+# 8k and 16k cells raised the peak RSS by about 1 MB over the per-row
+# writer, 32k by 3 MB and 64k by 23 MB: larger chunks' temporaries (the
+# compress indices alone are 160 bytes per cell) likely cross glibc's heap
+# and mmap thresholds.
+_CSV_CHUNK_CELLS = 1 << 14
+_COMMA, _NEWLINE = ord(","), ord("\n")
+
+
 def lattice_to_csv(path, t_values: np.ndarray, x_values: np.ndarray,
                    values: np.ndarray) -> None:
     """Write a lattice field as CSV: header row of x coordinates, first column t.
 
-    Numbers carry 17 significant digits so the file round-trips float64 exactly.
-    Rows are formatted whole; a row that repeats the previous one shifted
-    left by one cell, as every field of t + x does, reuses its text and
-    formats only the new last cell.
+    Numbers carry 17 significant digits so the file round-trips float64 exactly;
+    ``_kernels.format_g17`` prints the lines in chunks of about
+    ``_CSV_CHUNK_CELLS`` cells, each cell followed by a comma that becomes a
+    newline at the end of its line. A row that repeats the previous one
+    shifted left by one cell, as every field of t + x does, reuses its text
+    and formats only its t and its new last cell.
     """
     values = np.asarray(values, dtype=np.float64)
+    x_values = np.asarray(x_values, dtype=np.float64)
     bits = values.view(np.int64)   # bitwise equality keeps -0.0 apart from 0.0
-    n_cols = values.shape[1]
-    cells_fmt = ",".join(["%.17g"] * n_cols)
-    cells = None
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("t\\x," + ",".join(f"{x:.17g}" for x in x_values) + "\n")
-        for i, (t, row) in enumerate(zip(t_values, values)):
-            if (cells is not None and n_cols > 1
-                    and np.array_equal(bits[i, :-1], bits[i - 1, 1:])):
-                cells = cells[cells.index(",") + 1:] + ",%.17g" % row[-1]
-            else:
-                cells = cells_fmt % tuple(row.tolist())
-            f.write("%.17g," % t + cells + "\n")
+    n_rows, n_cols = values.shape
+    shift = np.zeros(n_rows + 1, dtype=bool)   # line 0 is the header, line i + 1 row i
+    if n_cols > 1:
+        shift[2:] = np.all(bits[1:, :-1] == bits[:-1, 1:], axis=1)
+    counts = np.where(shift, 2, n_cols + 1)   # cells each line formats
+    counts[0] = x_values.size
+    cum = np.cumsum(counts)
+    bounds = [0, *(np.flatnonzero(np.diff(cum // _CSV_CHUNK_CELLS)) + 1).tolist(), n_rows + 1]
+    edges = np.zeros(n_cols + 1, dtype=bool)
+    edges[[0, -1]] = True
+    cells = None                   # the previous row's text after its t cell
+    with open(path, "wb") as f:
+        f.write(b"t\\x,")
+        for l0, l1 in zip(bounds[:-1], bounds[1:]):
+            r0 = max(l0, 1)
+            table = np.column_stack((t_values[r0 - 1:l1 - 1], values[r0 - 1:l1 - 1]))
+            picked = table[~shift[r0:l1, None] | edges]
+            text, lengths = format_g17(
+                np.concatenate((x_values, picked)) if l0 == 0 else picked, _COMMA)
+            offsets = np.concatenate(([0], np.cumsum(lengths)))
+            first = cum[l0:l1] - counts[l0:l1] - (cum[l0 - 1] if l0 else 0)
+            last = first + counts[l0:l1]
+            text[offsets[last] - 1] = _NEWLINE
+            view = memoryview(text)
+            run = 0                # text[run:] up to the next shifted row is still to write
+            for is_shift, start, t_end, end in zip(
+                    shift[l0:l1].tolist(), offsets[first].tolist(),
+                    offsets[first + 1].tolist(), offsets[last].tolist()):
+                if is_shift:
+                    f.write(view[run:start])
+                    # a cell's text and its comma fit in one kernel slot
+                    cut = bytes(cells[:_SLOT]).index(b",") + 1
+                    row = b"".join((view[start:t_end], cells[cut:-1], b",", view[t_end:end]))
+                    f.write(row)
+                    cells = memoryview(row)[t_end - start:]
+                    run = end
+                else:
+                    cells = view[t_end:end]
+            f.write(view[run:])

@@ -58,7 +58,6 @@ __all__ = [
     "transport_solution",
     "integral_identity_sides",
     "solve_transport",
-    "ito_integral",
     "solve_ito_form",
 ]
 
@@ -389,17 +388,6 @@ def solve_transport(coeffs: CoefficientSet, r0: InitialCurve,
     the one sheet; build the plan directly to solve many.
     """
     return TransportPlan.build(W.grid, coeffs, r0).solution(W)
-
-
-def ito_integral(integrand: Callable, path: DiagonalPath, x: float, t: float) -> float:
-    """Left-point Wiener-Ito sum of integrand(s, x) against B^x(s) = B(s, s+x)."""
-    g = path.grid
-    j = g.index_of(x, "x")
-    i1 = g.index_of(t, "t")
-    col = path.values[: i1 + 1, j]
-    s = g.t_values[:i1]
-    vals = np.broadcast_to(np.asarray(integrand(s, x), dtype=np.float64), s.shape)
-    return float(np.sum(vals * (col[1:] - col[:-1])))
 
 
 def solve_ito_form(coeffs: CoefficientSet, r0: InitialCurve,

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import sheetpde as sp
 from sheetpde.calculus import central_diff, trapz_2d
+from sheetpde import grids
 from sheetpde.grids import GridError, lattice_to_csv
 
 
@@ -136,6 +137,26 @@ class TestLatticeCsv:
         values = np.array(values)
         t = np.arange(values.shape[0]) * 0.5
         x = np.arange(values.shape[1]) * 0.5
+        lattice_to_csv(tmp_path / "rows.csv", t, x, values)
+        per_cell_lattice_csv(tmp_path / "cells.csv", t, x, values)
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+    @pytest.mark.parametrize("chunk_cells", [grids._CSV_CHUNK_CELLS, 1, 1500])
+    def test_shift_and_fresh_rows_across_chunks(self, tmp_path, monkeypatch, chunk_cells):
+        # 150 x 700 cells span several chunks; runs of shifted rows and of
+        # fresh rows, with zeros and out-of-range cells, cross their edges
+        monkeypatch.setattr(grids, "_CSV_CHUNK_CELLS", chunk_cells)
+        gen = np.random.default_rng(11)
+        n_t, n_x = 150, 700
+        line = gen.standard_normal(n_t + n_x) * 10.0 ** gen.integers(-6, 17, n_t + n_x)
+        line[gen.integers(0, n_t + n_x, 40)] = gen.choice([0.0, -0.0, 5e-324, 1e300], 40)
+        values = np.empty((n_t, n_x))
+        values[0] = line[:n_x]
+        for i in range(1, n_t):
+            values[i] = (np.append(values[i - 1, 1:], line[n_x + i])
+                         if gen.random() < 0.5 else gen.standard_normal(n_x) * 0.05)
+        t = np.arange(n_t) / 128
+        x = np.arange(n_x) / 128
         lattice_to_csv(tmp_path / "rows.csv", t, x, values)
         per_cell_lattice_csv(tmp_path / "cells.csv", t, x, values)
         assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()

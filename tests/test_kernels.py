@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sheetpde import _kernels as K
+from test_grids import EDGE_FLOATS
 
 rng = np.random.default_rng(99)
 CELLS = rng.standard_normal((40, 70))
@@ -109,3 +110,65 @@ class TestPrefixSumRows:
         out = np.full((3, 71), np.nan)
         assert K.prefix_sum_rows(CELLS, rows, out=out) is out
         assert out.tobytes() == K.prefix_sum_2d(CELLS)[rows].tobytes()
+
+
+def assert_matches_percent_g17(values):
+    """format_g17 gives, cell for cell, the bytes of "%.17g" and the separator."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    seps = np.resize(np.frombuffer(b",\n", dtype=np.uint8), values.size)
+    text, lengths = K.format_g17(values, seps)
+    expected = [b"%.17g" % v + bytes([s]) for v, s in zip(values.tolist(), seps.tolist())]
+    assert lengths.tolist() == [len(e) for e in expected]
+    assert text.tobytes() == b"".join(expected)
+
+
+class TestFormatG17:
+    """The bulk printer is byte-exact against Python's "%.17g"."""
+
+    @settings(deadline=None, max_examples=500)
+    @given(values=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                     st.sampled_from(EDGE_FLOATS)), min_size=0, max_size=40))
+    def test_any_finite_float(self, values):
+        assert_matches_percent_g17(values)
+
+    def test_every_binade_of_the_fixed_range_and_beyond(self):
+        # 2000 random mantissas in each binade 2**-16 .. 2**52, both signs
+        gen = np.random.default_rng(2024)
+        mantissas = gen.integers(2 ** 52, 2 ** 53, size=(69, 2000)).astype(np.float64)
+        binades = np.ldexp(mantissas, np.arange(-16, 53)[:, None] - 52)
+        assert_matches_percent_g17(np.concatenate([binades, -binades]))
+
+    def test_neighbours_of_powers_of_ten(self):
+        values = []
+        for p in 10.0 ** np.arange(-5, 17):
+            for direction in (0.0, np.inf):
+                x = p
+                for _ in range(3):
+                    x = np.nextafter(x, direction)
+                    values.append(x)
+            values.append(p)
+        assert_matches_percent_g17(values)
+
+    def test_dyadic_fractions(self):
+        gen = np.random.default_rng(7)
+        numerators = gen.integers(1, 2 ** 53, size=(500, 1)).astype(np.float64)
+        assert_matches_percent_g17(numerators / 2.0 ** np.arange(1, 70))
+
+    @pytest.mark.parametrize("value, text", [
+        (1234567890123456.25, "1234567890123456.2"),    # exact ties round half to even
+        (1234567890123456.75, "1234567890123456.8"),
+        (0.30000000000000004, "0.30000000000000004"),
+        (1e-4, "0.0001"),                                # the smallest fixed-range cell
+        (float(np.nextafter(1e-4, 0.0)), "9.9999999999999991e-05"),
+        (999999999999999.9, "999999999999999.88"),
+        (1e15, "1000000000000000"),
+        (-0.0, "-0"),
+        (5e-324, "4.9406564584124654e-324"),
+        (float("inf"), "inf"),
+        (float("nan"), "nan"),
+    ])
+    def test_named_cases(self, value, text):
+        assert "%.17g" % value == text
+        out, lengths = K.format_g17(np.array([value]), np.array([ord("\n")], dtype=np.uint8))
+        assert out.tobytes() == text.encode() + b"\n"
+        assert lengths.tolist() == [len(text) + 1]

@@ -360,26 +360,6 @@ class TestTransportPlan:
         assert not np.allclose(bad.values, plan.solution(W).values)
 
 
-class TestItoIntegral:
-    def test_unit_integrand_telescopes(self, unit_grid_h01):
-        W = noise(unit_grid_h01)
-        got = sp.ito_integral(lambda s, x: 1.0 + 0 * s, W, 0.5, 1.0)
-        assert got == pytest.approx(W.value_at(1.0, 0.5), rel=1e-12)
-
-    def test_zero_integrand(self, unit_grid_h01):
-        W = noise(unit_grid_h01)
-        assert sp.ito_integral(lambda s, x: 0.0 * s, W, 0.5, 1.0) == 0.0
-
-    def test_variance_matches_martingale_law(self):
-        # integrand 1 at x=0: the sum telescopes to B^0(1) with variance 1
-        g = sp.make_grid(1.0, 1.0, 0.5)
-        vals = np.array([sp.ito_integral(lambda s, x: 1.0 + 0 * s,
-                                         noise(g, 606, k), 0.0, 1.0)
-                         for k in range(3000)])
-        se = np.sqrt(2.0 / 3000)
-        assert abs(np.var(vals, ddof=1) - 1.0) <= 3 * se
-
-
 class TestSolveItoForm:
     def test_pure_transport(self, unit_grid_h01):
         coeffs = cs(sp.const(0.0), sp.const(0.0), sp.const(0.0))
